@@ -213,12 +213,10 @@ def build_report(
         ell = 0.0
     e_avg = time_avg_mean_energy(traj)
     de_avg = time_avg_energy_variance(traj)
+    t_qsl = qsl_time(ell, e_avg, de_avg, hb, mode)
     t_mt = tau_mt(ell, de_avg, hb)
     t_mq = tau_ml_quadratic(ell, e_avg, hb)
     t_ml = tau_ml_linear(ell, e_avg, hb)
-    t_qsl = max(t_mt, t_ml if mode == "linear" else t_mq)
-    if mode not in ("linear", "quadratic"):
-        raise DomainError(f"unknown mode {mode!r}")
 
     tau = traj.tau
     report = QSLReport(

@@ -22,13 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, bounds, geometry, qdyn, verify
-from .errors import (
-    AuditViolation,
-    BadConfig,
-    BoundViolation,
-    NotHermitian,
-    QspeedError,
-)
+from .errors import BadConfig, BoundViolation, NotHermitian, QspeedError
 
 __all__ = [
     "ProtocolConfig",
@@ -96,12 +90,19 @@ class ProtocolConfig:
                 raise BadConfig(f"field '{name}' invalid: {why}")
             return val
 
+        def positive(name, default=None):
+            val = need(name, (int, float)) if default is None else raw.get(name, default)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise BadConfig(f"field '{name}' has wrong type {type(val).__name__}")
+            # false for NaN, infinities and integers too large for a float
+            if not 0 < val <= sys.float_info.max:
+                raise BadConfig(f"field '{name}' invalid: must be a finite number > 0")
+            return float(val)
+
         kind = need("kind", str, lambda k: k in PROTOCOL_KINDS, f"must be one of {PROTOCOL_KINDS}")
         dim = need("dim", int, lambda d: d >= 2, "must be an integer >= 2")
-        duration = float(need("duration", (int, float), lambda x: x > 0, "must be > 0"))
-        hbar = float(raw.get("hbar", 1.0))
-        if hbar <= 0:
-            raise BadConfig("field 'hbar' invalid: must be > 0")
+        duration = positive("duration")
+        hbar = positive("hbar", 1.0)
         steps = raw.get("steps", 2048)
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
@@ -111,9 +112,7 @@ class ProtocolConfig:
         ml_mode = raw.get("ml_mode", "linear")
         if ml_mode not in ("linear", "quadratic"):
             raise BadConfig("field 'ml_mode' invalid: must be 'linear' or 'quadratic'")
-        tol = float(raw.get("audit_tolerance", 1e-6))
-        if tol <= 0:
-            raise BadConfig("field 'audit_tolerance' invalid: must be > 0")
+        tol = positive("audit_tolerance", 1e-6)
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise BadConfig("field 'params' has wrong type")
@@ -303,14 +302,12 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
 
 def _oscillator_leakage(traj: qdyn.Trajectory) -> float:
     """Max population of the top two ladder levels along the run."""
-    top = max(traj.dim - 2, 0)
-    pops = []
-    for s in traj.states:
-        if s.is_pure:
-            pops.append(float(np.sum(np.abs(s.amplitudes[top:]) ** 2)))
-        else:
-            pops.append(float(np.trace(s.matrix[top:, top:]).real))
-    return max(pops)
+    k = max(traj.dim - 2, 0)
+    if traj.is_pure:
+        pops = np.sum(np.abs(traj.states[:, k:]) ** 2, axis=1)
+    else:
+        pops = np.trace(traj.states[:, k:, k:], axis1=1, axis2=2).real
+    return float(pops.max())
 
 
 def run_pipeline(cfg: ProtocolConfig, strict: bool = True):
@@ -370,7 +367,7 @@ def _sanitize(obj):
     if isinstance(obj, list):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
+        return repr(obj)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -599,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     except BadConfig as exc:
         print(f"[qspeed] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BoundViolation, AuditViolation) as exc:
+    except BoundViolation as exc:
         print(f"[qspeed] violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except QspeedError as exc:

@@ -69,7 +69,3 @@ class BadConfig(QspeedError):
 
 class BoundViolation(QspeedError):
     """A computed speed-limit bound exceeds the actual duration."""
-
-
-class AuditViolation(QspeedError):
-    """One or more trajectory audit checks failed beyond tolerance."""

@@ -158,12 +158,8 @@ class HamiltonianProtocol:
             object.__setattr__(self, "dim", probe.shape[0])
 
     def matrix(self, t: float) -> np.ndarray:
-        """H(t), validated Hermitian within 1e-10."""
-        h = np.asarray(self.evaluator(float(t)), dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"evaluator returned shape {h.shape}, expected {(self.dim, self.dim)}")
-        _linalg.require_hermitian(h, what=f"H({t:g})")
-        return h
+        """H(t), the one-sample stack of :meth:`matrices`."""
+        return self.matrices([t])[0]
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
@@ -183,10 +179,15 @@ class HamiltonianProtocol:
 
 @dataclass(frozen=True, eq=False)
 class _GroundShiftedProtocol(HamiltonianProtocol):
-    """Ground-shifted view of a base protocol with a batched stack path."""
+    """``base`` shifted down by its instantaneous ground energy, or by
+    ``global_offset`` when set; the shift is applied in :meth:`matrices` only."""
 
     base: HamiltonianProtocol | None = None
     global_offset: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "evaluator", self.matrix)
+        super().__post_init__()
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         stack = self.base.matrices(ts)
@@ -207,31 +208,20 @@ def ground_shift(
     ``instantaneous`` (default) subtracts the lowest eigenvalue of H(t) at each
     time, keeping <H_t> >= 0 pointwise.  ``global`` subtracts a single constant,
     the minimum instantaneous ground energy over a uniform scan of
-    ``scan_samples`` + 1 times in [0, duration].
+    ``scan_samples`` + 1 times in [0, duration].  Either way the returned
+    protocol evaluates ``p`` and applies the shift to the whole H(t) stack.
     """
-    base = p.evaluator
-
     if mode == "instantaneous":
         offset = None
-
-        def shifted(t: float) -> np.ndarray:
-            h = np.asarray(base(float(t)), dtype=complex)
-            e0 = float(np.linalg.eigvalsh(h)[0])
-            return h - e0 * np.eye(h.shape[0])
     elif mode == "global":
         ts = np.linspace(0.0, p.duration, scan_samples + 1)
-        offset = min(float(np.linalg.eigvalsh(np.asarray(base(float(t)), dtype=complex))[0]) for t in ts)
-
-        def shifted(t: float) -> np.ndarray:
-            h = np.asarray(base(float(t)), dtype=complex)
-            return h - offset * np.eye(h.shape[0])
+        offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
     else:
         raise ValueError(f"unknown ground shift mode {mode!r}")
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
-    return _GroundShiftedProtocol(
-        shifted, p.duration, p.hbar, label, p.dim, base=p, global_offset=offset
-    )
+    # __post_init__ binds the evaluator to the shifted one-sample stack
+    return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, base=p, global_offset=offset)
 
 
 def mean_energy(s: QuantumState, h: np.ndarray) -> float:
@@ -276,20 +266,24 @@ def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A uniformly sampled run: states plus per-sample observables.
+    """A uniformly sampled run: state and H(t) arrays plus per-sample observables.
 
-    ``times`` holds N+1 uniform samples on [0, tau].  ``overlap_with_initial``
-    is filled only for pure runs; ``bures_from_initial`` is the Bures angle
-    L(rho_0, rho_t) at every sample (for pure runs computed from the overlap
-    magnitude, which is the numerically sharper equivalent route).
+    ``times`` holds N+1 uniform samples on [0, tau].  ``states`` is the
+    (N+1, d) array of state vectors of a pure run or the (N+1, d, d) array of
+    density matrices of a mixed run; ``h_samples`` is the (N+1, d, d) stack of
+    H(t) at ``times`` that every observable was computed from.
+    ``overlap_with_initial`` is filled only for pure runs;
+    ``bures_from_initial`` is the Bures angle L(rho_0, rho_t) at every sample
+    (for pure runs computed from the overlap magnitude, which is the
+    numerically sharper equivalent route).
     """
 
     times: np.ndarray
-    states: list[QuantumState]
+    states: np.ndarray
+    h_samples: np.ndarray
     mean_energy: np.ndarray
     energy_variance: np.ndarray
     bures_from_initial: np.ndarray
-    ground_energy: np.ndarray
     hbar: float
     protocol: HamiltonianProtocol
     overlap_with_initial: np.ndarray | None = None
@@ -308,11 +302,11 @@ class Trajectory:
 
     @property
     def is_pure(self) -> bool:
-        return self.states[0].is_pure
+        return self.states.ndim == 2
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[-1]
 
     @property
     def label(self) -> str:
@@ -325,9 +319,9 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
     Each step applies U_k = exp(-i H(t_k + dt/2) dt / hbar); pure amplitudes
     are mapped psi -> U psi, densities rho -> U rho U†.  Per-sample
-    observables (<H_t>, variance, ground energy, Bures angle from the start,
-    and for pure runs the complex overlap with the initial state) are filled
-    on the same grid.
+    observables (<H_t>, variance, Bures angle from the start, and for pure
+    runs the complex overlap with the initial state) are computed from the
+    H(t) stack at the N+1 samples, which the trajectory keeps.
     """
     if steps < 2:
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
@@ -351,17 +345,16 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         for k in range(n):
             u = (v[k] * phases[k]) @ v[k].conj().T
             psis[k + 1] = u @ psis[k]
-        states = [QuantumState("pure", d, amplitudes=psis[k]) for k in range(n + 1)]
+        states = psis
     else:
         rhos = np.empty((n + 1, d, d), dtype=complex)
         rhos[0] = s0.matrix
         for k in range(n):
             u = (v[k] * phases[k]) @ v[k].conj().T
             rhos[k + 1] = _linalg.symmetrize(u @ rhos[k] @ u.conj().T)
-        states = [QuantumState("mixed", d, matrix=rhos[k]) for k in range(n + 1)]
+        states = rhos
 
     h_samp = p.matrices(times)
-    ground = np.linalg.eigvalsh(h_samp)[:, 0]
 
     if pure:
         me = np.einsum("ti,tij,tj->t", psis.conj(), h_samp, psis).real
@@ -385,7 +378,8 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         raise NotPositive(f"energy variance dipped to {var.min():.3e} along the trajectory")
     var = np.clip(var, 0.0, None)
 
-    purities = np.array([s.purity() for s in states])
+    # tr(rho^2), which is |psi|^4 for a state vector
+    purities = np.linalg.norm(psis, axis=1) ** 4 if pure else np.einsum("tij,tji->t", rhos, rhos).real
     drift = float(np.max(np.abs(purities - purities[0])))
     if drift > 1e-8:
         raise NotPositive(f"purity drifted by {drift:.3e} along the trajectory; propagation is not unitary")
@@ -393,10 +387,10 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     return Trajectory(
         times=times,
         states=states,
+        h_samples=h_samp,
         mean_energy=me,
         energy_variance=var,
         bures_from_initial=bures,
-        ground_energy=ground,
         hbar=p.hbar,
         protocol=p,
         overlap_with_initial=overlap,

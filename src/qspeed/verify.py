@@ -143,8 +143,9 @@ def audit_trajectory(
     only; on mixed runs they are skipped and listed in ``skipped`` (or raise
     :class:`PureCheckOnMixedRun` with ``on_mixed="error"``).  Derivatives are
     second-order central differences at interior samples; integrated checks
-    use the trapezoid rule on the run grid.  The trajectory must come from a
-    ground-shifted protocol for the mean-energy checks to be meaningful.
+    use the trapezoid rule on the run grid, and H(t) is read from
+    ``traj.h_samples``.  The trajectory must come from a ground-shifted
+    protocol for the mean-energy checks to be meaningful.
     """
     n = traj.n_samples
     if n < MIN_SAMPLES:
@@ -164,7 +165,6 @@ def audit_trajectory(
     me = traj.mean_energy
 
     checks: list[CheckResult] = []
-    skipped: list[str] = []
 
     sign_changes = int(np.count_nonzero(np.diff(np.sign(dl[dl != 0.0])) != 0))
     checks.append(
@@ -179,8 +179,8 @@ def audit_trajectory(
     )
 
     if pure:
-        h_samp = traj.protocol.matrices(times)
-        psis = np.stack([s.amplitudes for s in traj.states])
+        h_samp = traj.h_samples
+        psis = traj.states
         psi0 = psis[0]
         overlap = traj.overlap_with_initial
         cross = np.abs(np.einsum("i,tij,tj->t", psi0.conj(), h_samp, psis))
@@ -198,8 +198,6 @@ def audit_trajectory(
         cross_win = (cross[:-2] + 2.0 * cross[1:-1] + cross[2:]) / 4.0
         checks.append(_pointwise("sin_velocity", sin_dl, cross_win / hbar, interior, tol))
         checks.append(_pointwise("phase_mean_energy", cross[1:-1], me[1:-1], interior, tol))
-    else:
-        skipped.extend(["overlap_derivative", "sin_velocity", "phase_mean_energy"])
 
     checks.append(
         _scalar("mt_integrated", float(ell[-1]), float(np.trapezoid(sqrt_var, dx=dt)) / hbar, traj.tau, tol)
@@ -217,14 +215,12 @@ def audit_trajectory(
     if pure:
         arg = float(np.trapezoid(init_e, dx=dt)) / hbar
         checks.append(_scalar("overlap_cosine", abs(math.cos(arg)), float(np.abs(overlap[-1])), traj.tau, tol))
-    else:
-        skipped.append("overlap_cosine")
 
     return AuditReport(
         checks=checks,
         tolerance=tol,
         trajectory_label=traj.label,
-        skipped=tuple(skipped),
+        skipped=() if pure else PURE_ONLY_CHECKS,
     )
 
 

@@ -282,29 +282,30 @@ def independent_sides(name, traj):
     """(times, lhs, rhs) of a falsifiable check at every sample it covers.
 
     Recomputed from the stored states and the shifted protocol evaluated one
-    time at a time, not from the audit's batched H stack or the
-    trajectory's observables.
+    time at a time, not from the trajectory's H stack (``h_samples``) or its
+    observables.
     """
     hs = [traj.protocol.matrix(t) for t in traj.times]
     states = traj.states
     if name == "phase_mean_energy":
-        psi0 = states[0].amplitudes
-        lhs = [abs(np.vdot(psi0, h @ s.amplitudes)) for h, s in zip(hs, states)]
-        rhs = [np.vdot(s.amplitudes, h @ s.amplitudes).real for h, s in zip(hs, states)]
+        psi0 = states[0]
+        lhs = [abs(np.vdot(psi0, h @ s)) for h, s in zip(hs, states)]
+        rhs = [np.vdot(s, h @ s).real for h, s in zip(hs, states)]
         return traj.times[1:-1], np.array(lhs[1:-1]), np.array(rhs[1:-1])
     if name == "overlap_cosine":
-        psi0 = states[0].amplitudes
+        psi0 = states[0]
         phase = np.trapezoid([np.vdot(psi0, h @ psi0).real for h in hs], dx=traj.dt) / traj.hbar
-        lhs, rhs = abs(math.cos(phase)), abs(np.vdot(psi0, states[-1].amplitudes))
+        lhs, rhs = abs(math.cos(phase)), abs(np.vdot(psi0, states[-1]))
         return traj.times[-1:], np.array([lhs]), np.array([rhs])
     if name == "ml_integrated":
-        mean_e = [np.trace(s.density_matrix() @ h).real for h, s in zip(hs, states)]
+        rhos = [np.outer(s, s.conj()) for s in states] if traj.is_pure else states
+        mean_e = [np.trace(rho @ h).real for h, rho in zip(hs, rhos)]
         if traj.is_pure:
-            cos_l = abs(np.vdot(states[0].amplitudes, states[-1].amplitudes))
+            cos_l = abs(np.vdot(states[0], states[-1]))
         else:
-            w, v = np.linalg.eigh(states[0].matrix)
+            w, v = np.linalg.eigh(states[0])
             root0 = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-            lam = np.linalg.eigvalsh(root0 @ states[-1].matrix @ root0)
+            lam = np.linalg.eigvalsh(root0 @ states[-1] @ root0)
             cos_l = float(np.sqrt(np.clip(lam, 0.0, None)).sum())
         lhs, rhs = 1.0 - cos_l, np.trapezoid(mean_e, dx=traj.dt) / traj.hbar
         return traj.times[-1:], np.array([lhs]), np.array([rhs])

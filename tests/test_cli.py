@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from qspeed import QuantumState, propagate
+from qspeed import QuantumState, ground_shift, propagate
 from qspeed.cli import (
     ProtocolConfig,
     SweepSpec,
+    _oscillator_leakage,
+    _sanitize,
     build_protocol,
     fisher_command,
     initial_state,
@@ -112,7 +114,7 @@ class TestProtocolKinds:
         t_rabi = propagate(build_protocol(rabi), s0, 256)
         t_const = propagate(build_protocol(const), s0, 256)
         for a, b in zip(t_rabi.states, t_const.states):
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+            assert np.max(np.abs(a - b)) < 1e-10
 
     def test_landau_zener_form(self):
         cfg = ProtocolConfig.from_dict(
@@ -281,6 +283,45 @@ class TestRunCommand:
         raw = {**OSC, "params": {"omega0": 1.0, "pump_rate": 0.0, "squeeze": 0.8}}
         cfg = write_config(tmp_path, raw)
         assert main(["run", cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("hbar", '"x"'),
+            ("audit_tolerance", "null"),
+            ("hbar", "Infinity"),
+            ("audit_tolerance", "Infinity"),
+            ("hbar", "NaN"),
+            ("duration", "Infinity"),
+            ("duration", "NaN"),
+            ("hbar", "true"),
+            ("duration", "true"),
+            ("duration", "1" + "0" * 400),
+        ],
+        ids=lambda v: v if len(v) < 20 else "huge_int",
+    )
+    def test_bad_number_exit_2_names_field(self, tmp_path, capsys, field, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**BENCH, field: "@"}).replace('"@"', literal))
+        assert main(["run", str(path), "-o", str(tmp_path / "out.json")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_sanitize_writes_non_finite_as_strings(self):
+        doc = {"a": [math.nan, math.inf, -math.inf, 1.5], "b": {"c": math.nan}}
+        assert _sanitize(doc) == {"a": ["nan", "inf", "-inf", 1.5], "b": {"c": "nan"}}
+
+    @pytest.mark.parametrize("state", [OSC["initial_state"], {"matrix": np.diag([0.5, 0.3, 0.2, 0, 0, 0]).tolist()}])
+    def test_leakage_matches_per_state_loop(self, state):
+        raw = {**OSC, "params": {"omega0": 1.0, "pump_rate": 0.5, "squeeze": 0.01}, "initial_state": state}
+        cfg = ProtocolConfig.from_dict(raw)
+        protocol = build_protocol(cfg)
+        traj = propagate(ground_shift(protocol), initial_state(cfg, protocol), cfg.steps)
+        if traj.is_pure:
+            loop = max(float(np.sum(np.abs(s[4:]) ** 2)) for s in traj.states)
+        else:
+            loop = max(float(np.trace(s[4:, 4:]).real) for s in traj.states)
+        assert 0.0 < _oscillator_leakage(traj) == loop
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BENCH)

@@ -15,6 +15,8 @@ from conftest import (
 from qspeed import (
     HamiltonianProtocol,
     QuantumState,
+    audit_trajectory,
+    build_report,
     eigensystem,
     energy_variance,
     ground_shift,
@@ -153,12 +155,20 @@ class TestGroundShift:
         assert np.allclose(shifted.matrix(0.0), np.diag([0.0, 5.0]))
         assert np.linalg.eigvalsh(shifted.matrix(1.0))[0] == pytest.approx(math.sin(1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    def test_shifted_evaluator_matrix_and_stack_agree(self, mode):
+        shifted = ground_shift(random_smooth_protocol(np.random.default_rng(8), 3), mode=mode)
+        for t in np.linspace(0.0, shifted.duration, 7):
+            h = shifted.matrices([t])[0]
+            assert np.array_equal(shifted.evaluator(t), h)
+            assert np.array_equal(shifted.matrix(t), h)
+
 
 class TestPropagate:
     def test_two_level_reaches_orthogonality(self, saturating_run):
         traj = saturating_run
-        psi0 = traj.states[0].amplitudes
-        psi_tau = traj.states[-1].amplitudes
+        psi0 = traj.states[0]
+        psi_tau = traj.states[-1]
         assert abs(np.vdot(psi0, psi_tau)) < 1e-8
         assert traj.bures_from_initial[-1] == pytest.approx(math.pi / 2, abs=1e-6)
 
@@ -180,8 +190,8 @@ class TestPropagate:
         fine = make(2048 * 16)
         h_final = coarse.protocol.matrix(tau)
         excited = eigensystem(h_final).eigenvectors[:, 1]
-        pop_coarse = abs(np.vdot(excited, coarse.states[-1].amplitudes)) ** 2
-        pop_fine = abs(np.vdot(excited, fine.states[-1].amplitudes)) ** 2
+        pop_coarse = abs(np.vdot(excited, coarse.states[-1])) ** 2
+        pop_fine = abs(np.vdot(excited, fine.states[-1])) ** 2
         assert abs(pop_coarse - pop_fine) < 1e-6
 
     def test_rejects_dimension_mismatch(self):
@@ -207,7 +217,7 @@ class TestPropagate:
         traj = propagate(p, s0, 1024)
         expected = step_unitary(h, 2.0, 1.0) @ s0.amplitudes
         # global phase is physical here (same construction), compare directly
-        assert np.max(np.abs(traj.states[-1].amplitudes - expected)) < 1e-9
+        assert np.max(np.abs(traj.states[-1] - expected)) < 1e-9
 
     def test_eigenstate_is_stationary(self):
         h = np.diag([0.0, 1.0, 3.0]).astype(complex)
@@ -220,7 +230,7 @@ class TestPropagate:
         s0 = QuantumState.pure([1.0, 0.0])
 
         def final(steps):
-            return propagate(p, s0, steps).states[-1].amplitudes
+            return propagate(p, s0, steps).states[-1]
 
         ref = final(1 << 15)
         err_n = np.linalg.norm(final(128) - ref)
@@ -234,8 +244,8 @@ class TestPropagate:
         rho = g @ g.conj().T
         s0 = QuantumState.mixed(rho / np.trace(rho).real)
         traj = propagate(p, s0, 512)
-        purities = [s.purity() for s in traj.states]
-        traces = [np.trace(s.matrix).real for s in traj.states]
+        purities = np.einsum("tij,tji->t", traj.states, traj.states).real
+        traces = np.trace(traj.states, axis1=1, axis2=2).real
         assert np.max(np.abs(np.diff(purities))) < 1e-10
         assert np.max(np.abs(np.array(traces) - 1.0)) < 1e-10
 
@@ -252,6 +262,26 @@ class TestPropagate:
             else:
                 assert traj.overlap_with_initial is None
 
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_one_h_sample_per_grid_point(self, pure):
+        """ground shift -> propagate -> report -> audit samples H(t) exactly
+        once at each of the N midpoints and N+1 grid points."""
+        rng = np.random.default_rng(9)
+        base = random_smooth_protocol(rng, 3)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return base.evaluator(t)
+
+        p = HamiltonianProtocol(counted, base.duration, base.hbar, base.label, base.dim)
+        s0 = random_pure_state(rng, 3) if pure else QuantumState.mixed(np.eye(3) / 3)
+        steps = 64
+        traj = propagate(ground_shift(p), s0, steps)
+        build_report(traj, strict=False)
+        audit_trajectory(traj)
+        assert len(calls) == 2 * steps + 1
+
     def test_ground_energy_zero_after_shift(self, small_corpus):
         for traj in small_corpus:
-            assert np.max(np.abs(traj.ground_energy)) < 1e-9
+            assert np.max(np.abs(np.linalg.eigvalsh(traj.h_samples)[:, 0])) < 1e-9
