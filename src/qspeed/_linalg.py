@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositive
+from .errors import NotFinite, NotHermitian, NotPositive
 
 # Clamp eigenvalues in [EIG_NEG_ERROR, 0) to zero; reject below EIG_NEG_ERROR.
 EIG_NEG_ERROR = -1e-6
@@ -20,13 +20,19 @@ RANK_FLOOR = 1e-14
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
-    """Max elementwise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max elementwise deviation of m, or of a stack (..., d, d), from its
+    conjugate transpose; not finite when an entry is not."""
+    return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+    """m itself, after checking that it, or every matrix of a stack, is
+    Hermitian within ``tol`` and has only finite entries."""
     dev = hermitian_deviation(m)
-    if dev > tol:
+    # written so that a NaN deviation fails too
+    if not dev <= tol:
+        if not np.isfinite(m).all():
+            raise NotFinite(f"{what} has non-finite entries")
         raise NotHermitian(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return m
 

@@ -21,8 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, bounds, geometry, qdyn, verify
-from .errors import BadConfig, BoundViolation, NotHermitian, QspeedError
+from . import __version__, _linalg, bounds, geometry, qdyn, verify
+from .errors import BadConfig, BoundViolation, QspeedError
 
 __all__ = [
     "ProtocolConfig",
@@ -48,6 +48,10 @@ PROTOCOL_KINDS = (
 )
 
 LEAKAGE_LIMIT = 1e-6
+# a run holds a few (samples, dim, dim) complex arrays, with at least the
+# 1025 samples of the global-shift scan; a config whose array would pass this
+# size exits 2 instead of failing to allocate
+MAX_ARRAY_BYTES = 2**32
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,13 +95,10 @@ class ProtocolConfig:
             return val
 
         def positive(name, default=None):
-            val = need(name, (int, float)) if default is None else raw.get(name, default)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise BadConfig(f"field '{name}' has wrong type {type(val).__name__}")
-            # false for NaN, infinities and integers too large for a float
-            if not 0 < val <= sys.float_info.max:
+            val = _finite(need(name, object) if default is None else raw.get(name, default), name)
+            if val <= 0:
                 raise BadConfig(f"field '{name}' invalid: must be a finite number > 0")
-            return float(val)
+            return val
 
         kind = need("kind", str, lambda k: k in PROTOCOL_KINDS, f"must be one of {PROTOCOL_KINDS}")
         dim = need("dim", int, lambda d: d >= 2, "must be an integer >= 2")
@@ -106,6 +107,9 @@ class ProtocolConfig:
         steps = raw.get("steps", 2048)
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
+        if (max(steps, 1024) + 1) * dim * dim * 16 > MAX_ARRAY_BYTES:
+            too_big = f"a (steps + 1, dim, dim) complex array exceeds {MAX_ARRAY_BYTES >> 30} GiB"
+            raise BadConfig(f"fields 'steps' and 'dim' invalid: {too_big}")
         gsm = raw.get("ground_shift_mode", "instantaneous")
         if gsm not in ("instantaneous", "global"):
             raise BadConfig("field 'ground_shift_mode' invalid: must be 'instantaneous' or 'global'")
@@ -143,27 +147,41 @@ def load_config(path: str) -> dict:
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+def _finite(val, field: str) -> float:
+    """``val`` as a float; BadConfig naming ``field`` unless it is a finite
+    JSON number (booleans are not numbers here)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise BadConfig(f"field '{field}' has wrong type {type(val).__name__}")
+    # false for NaN, infinities and integers too large for a float
+    if not -sys.float_info.max <= val <= sys.float_info.max:
+        raise BadConfig(f"field '{field}' invalid: must be a finite number")
+    return float(val)
+
+
 def _decode_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
     if isinstance(entry, dict) and set(entry) <= {"re", "im"}:
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        return complex(_finite(entry.get("re", 0.0), f"{where}.re"), _finite(entry.get("im", 0.0), f"{where}.im"))
+    if isinstance(entry, (int, float)):
+        return complex(_finite(entry, where))
     raise BadConfig(f"{where}: matrix entries must be numbers or {{re, im}} objects")
 
 
 def decode_matrix(raw, dim: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != dim or any(len(row) != dim for row in raw):
+    if not isinstance(raw, list) or len(raw) != dim or any(not isinstance(row, list) or len(row) != dim for row in raw):
         raise BadConfig(f"{where}: must be a {dim} x {dim} nested list")
-    return np.array([[_decode_entry(e, where) for e in row] for row in raw], dtype=complex)
+    entries = [[_decode_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(raw)]
+    return np.array(entries, dtype=complex)
+
+
+def _hamiltonian(raw, dim: int, where: str) -> np.ndarray:
+    """A decoded matrix param, checked Hermitian (within 1e-10) and finite."""
+    return _linalg.require_hermitian(decode_matrix(raw, dim, where), what=where)
 
 
 def _param(params: dict, name: str, where: str) -> float:
     if name not in params:
         raise BadConfig(f"{where}: missing required param '{name}'")
-    val = params[name]
-    if not isinstance(val, (int, float)):
-        raise BadConfig(f"{where}: param '{name}' must be a number")
-    return float(val)
+    return _finite(params[name], f"params.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +206,7 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     kind, d, tau = cfg.kind, cfg.dim, cfg.duration
 
     if kind == "constant":
-        h = decode_matrix(cfg.params.get("matrix"), d, "params.matrix")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
-            raise NotHermitian("params.matrix is not Hermitian within 1e-10")
+        h = _hamiltonian(cfg.params.get("matrix"), d, "params.matrix")
         evaluator = lambda t: h
 
     elif kind == "piecewise_const":
@@ -201,13 +217,10 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         for i, seg in enumerate(segs):
             if not isinstance(seg, dict) or "matrix" not in seg or "duration" not in seg:
                 raise BadConfig(f"params.segments[{i}]: needs 'matrix' and 'duration'")
-            sd = float(seg["duration"])
+            sd = _finite(seg["duration"], f"params.segments[{i}].duration")
             if sd <= 0:
                 raise BadConfig(f"params.segments[{i}].duration: must be > 0")
-            m = decode_matrix(seg["matrix"], d, f"params.segments[{i}].matrix")
-            if np.max(np.abs(m - m.conj().T)) > 1e-10:
-                raise NotHermitian(f"params.segments[{i}].matrix is not Hermitian within 1e-10")
-            mats.append(m)
+            mats.append(_hamiltonian(seg["matrix"], d, f"params.segments[{i}].matrix"))
             edges.append(edges[-1] + sd)
         if abs(edges[-1] - tau) > 1e-9 * max(1.0, tau):
             raise BadConfig(f"params.segments: durations sum to {edges[-1]:g}, expected {tau:g}")
@@ -223,6 +236,8 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         w0 = _param(cfg.params, "omega0", "rabi_qubit")
         amp = _param(cfg.params, "amplitude", "rabi_qubit")
         wd = _param(cfg.params, "drive_frequency", "rabi_qubit")
+        if not math.isfinite(wd * tau):
+            raise BadConfig("field 'params.drive_frequency' invalid: drive_frequency * duration overflows a float")
         sz, sx = _pauli()
         evaluator = lambda t: (w0 / 2) * sz + amp * math.cos(wd * t) * sx
 
@@ -237,7 +252,9 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     elif kind == "modulated_oscillator":
         w0 = _param(cfg.params, "omega0", "modulated_oscillator")
         gamma = _param(cfg.params, "pump_rate", "modulated_oscillator")
-        lam = float(cfg.params.get("squeeze", 0.0))
+        if gamma * tau > math.log(sys.float_info.max):
+            raise BadConfig("field 'params.pump_rate' invalid: exp(pump_rate * duration) overflows a float")
+        lam = _finite(cfg.params.get("squeeze", 0.0), "params.squeeze")
         number_op = np.diag(np.arange(d, dtype=float)).astype(complex)
         a = _ladder(d)
         squeeze_op = a @ a + (a @ a).conj().T
@@ -253,11 +270,8 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         for i, s in enumerate(samples):
             if not isinstance(s, dict) or "t" not in s or "matrix" not in s:
                 raise BadConfig(f"params.samples[{i}]: needs 't' and 'matrix'")
-            ts.append(float(s["t"]))
-            m = decode_matrix(s["matrix"], d, f"params.samples[{i}].matrix")
-            if np.max(np.abs(m - m.conj().T)) > 1e-10:
-                raise NotHermitian(f"params.samples[{i}].matrix is not Hermitian within 1e-10")
-            mats.append(m)
+            ts.append(_finite(s["t"], f"params.samples[{i}].t"))
+            mats.append(_hamiltonian(s["matrix"], d, f"params.samples[{i}].matrix"))
         ts_arr = np.array(ts)
         if np.any(np.diff(ts_arr) <= 0):
             raise BadConfig("params.samples: t values must be strictly increasing")
@@ -285,9 +299,10 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
     if spec == "equal_superposition":
         return qdyn.QuantumState.pure(np.ones(cfg.dim) / math.sqrt(cfg.dim))
     if isinstance(spec, dict) and "amplitudes" in spec:
-        amps = [_decode_entry(e, "initial_state.amplitudes") for e in spec["amplitudes"]]
-        if len(amps) != cfg.dim:
-            raise BadConfig(f"initial_state.amplitudes: expected length {cfg.dim}")
+        amps = spec["amplitudes"]
+        if not isinstance(amps, list) or len(amps) != cfg.dim:
+            raise BadConfig(f"initial_state.amplitudes: expected a list of length {cfg.dim}")
+        amps = [_decode_entry(e, f"initial_state.amplitudes[{i}]") for i, e in enumerate(amps)]
         return qdyn.QuantumState.pure(np.array(amps))
     if isinstance(spec, dict) and "matrix" in spec:
         return qdyn.QuantumState.mixed(decode_matrix(spec["matrix"], cfg.dim, "initial_state.matrix"))

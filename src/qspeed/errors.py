@@ -23,6 +23,10 @@ class NotPositive(QspeedError):
     """An operator that must be positive semidefinite has a negative eigenvalue."""
 
 
+class NotFinite(QspeedError):
+    """A value that must be a finite number is NaN or infinite."""
+
+
 class NotTraceless(QspeedError):
     """A perturbation that must be traceless carries a trace beyond tolerance."""
 

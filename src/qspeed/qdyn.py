@@ -11,6 +11,7 @@ precision while the time dependence is resolved to second order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -19,6 +20,8 @@ import numpy as np
 from . import _linalg
 from .errors import (
     DimensionMismatch,
+    DomainError,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -99,6 +102,8 @@ def validate_state(s: QuantumState) -> QuantumState:
             raise DimensionMismatch("pure state requires a 1-D amplitude vector")
         if s.amplitudes.size != s.dim:
             raise DimensionMismatch(f"dim {s.dim} != amplitude length {s.amplitudes.size}")
+        if not np.isfinite(s.amplitudes).all():
+            raise NotFinite("pure state amplitudes are non-finite")
         norm = float(np.linalg.norm(s.amplitudes))
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"pure state norm {norm:.8f} deviates from 1 beyond {NORM_TOL:g}")
@@ -106,10 +111,7 @@ def validate_state(s: QuantumState) -> QuantumState:
 
     if s.matrix is None or s.matrix.shape != (s.dim, s.dim):
         raise DimensionMismatch(f"mixed state requires a {s.dim} x {s.dim} matrix")
-    dev = _linalg.hermitian_deviation(s.matrix)
-    if dev > NORM_TOL:
-        raise NotHermitian(f"density matrix deviates from Hermiticity by {dev:.3e}")
-    rho = _linalg.symmetrize(s.matrix)
+    rho = _linalg.symmetrize(_linalg.require_hermitian(s.matrix, NORM_TOL, "density matrix"))
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > NORM_TOL:
         raise NotNormalized(f"density matrix trace {trace:.8f} deviates from 1 beyond {NORM_TOL:g}")
@@ -149,10 +151,10 @@ class HamiltonianProtocol:
     dim: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name in ("duration", "hbar"):
+            # false for NaN and infinities too
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
         if self.dim == 0:
             probe = np.asarray(self.evaluator(0.0))
             object.__setattr__(self, "dim", probe.shape[0])
@@ -164,17 +166,14 @@ class HamiltonianProtocol:
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
 
-        Validates Hermiticity once on the whole stack; subclasses may
-        override to batch further per-sample work.
+        Validates Hermiticity, and that every entry is finite, once on the
+        whole stack; subclasses may override to batch further per-sample work.
         """
         ts = np.asarray(ts, dtype=float)
         stack = np.stack([np.asarray(self.evaluator(float(t)), dtype=complex) for t in ts])
         if stack.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatch(f"evaluator returned shape {stack.shape[1:]}")
-        dev = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))))
-        if dev > _linalg.HERMITIAN_TOL:
-            raise NotHermitian(f"H(t) deviates from Hermiticity by {dev:.3e} on the sample grid")
-        return stack
+        return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +216,7 @@ def ground_shift(
         ts = np.linspace(0.0, p.duration, scan_samples + 1)
         offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
     else:
-        raise ValueError(f"unknown ground shift mode {mode!r}")
+        raise DomainError(f"unknown ground shift mode {mode!r}")
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
     # __post_init__ binds the evaluator to the shifted one-sample stack
@@ -258,10 +257,20 @@ def energy_variance(s: QuantumState, h: np.ndarray) -> float:
     return max(var, 0.0)
 
 
+def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+    """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack.
+
+    A stacked matmul, because it gives the same bits as building each
+    slice on its own; an einsum contraction does not.
+    """
+    phases = np.exp(-1j * w * dt / hbar)
+    return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) via eigendecomposition; exactly unitary."""
     w, v = _linalg.eigh_checked(np.asarray(h, dtype=complex), what="step Hamiltonian")
-    return (v * np.exp(-1j * w * dt / hbar)) @ v.conj().T
+    return _unitaries(w, v, dt, hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +327,15 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     steps and return the densely sampled trajectory.
 
     Each step applies U_k = exp(-i H(t_k + dt/2) dt / hbar); pure amplitudes
-    are mapped psi -> U psi, densities rho -> U rho U†.  Per-sample
-    observables (<H_t>, variance, Bures angle from the start, and for pure
-    runs the complex overlap with the initial state) are computed from the
-    H(t) stack at the N+1 samples, which the trajectory keeps.
+    are mapped psi -> U psi, densities rho -> U rho U†.  U_k depends on H
+    alone, so all N unitaries (and, for densities, their adjoints) are built
+    before the loop, from one batched eigendecomposition of the midpoint H
+    stack and the stacked matmul that :func:`step_unitary` also uses; the
+    loop only applies them in order.  Per-sample observables (<H_t>,
+    variance, Bures angle from the start, and for pure runs the complex
+    overlap with the initial state) are computed from the H(t) stack at the
+    N+1 samples, which the trajectory keeps.  A non-finite H(t), variance
+    or purity raises :class:`NotFinite`.
     """
     if steps < 2:
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
@@ -334,25 +348,28 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     dt = p.duration / n
     d = p.dim
 
-    h_mid = p.matrices(times[:-1] + dt / 2)
-    w, v = np.linalg.eigh(h_mid)
-    phases = np.exp(-1j * w * dt / p.hbar)
+    # the midpoint H stack and its eigenvectors are released once the
+    # unitaries exist, so building them all up front does not raise peak memory
+    w, v = np.linalg.eigh(p.matrices(times[:-1] + dt / 2))
+    u = _unitaries(w, v, dt, p.hbar)
+    del w, v
 
     pure = s0.is_pure
     if pure:
         psis = np.empty((n + 1, d), dtype=complex)
         psis[0] = s0.amplitudes
         for k in range(n):
-            u = (v[k] * phases[k]) @ v[k].conj().T
-            psis[k + 1] = u @ psis[k]
+            psis[k + 1] = u[k] @ psis[k]
         states = psis
     else:
+        uh = np.conj(np.swapaxes(u, -1, -2))
         rhos = np.empty((n + 1, d, d), dtype=complex)
         rhos[0] = s0.matrix
         for k in range(n):
-            u = (v[k] * phases[k]) @ v[k].conj().T
-            rhos[k + 1] = _linalg.symmetrize(u @ rhos[k] @ u.conj().T)
+            rhos[k + 1] = _linalg.symmetrize(u[k] @ rhos[k] @ uh[k])
         states = rhos
+        del uh
+    del u
 
     h_samp = p.matrices(times)
 
@@ -373,15 +390,21 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, rhos))
     bures[0] = 0.0
 
+    # both checks are written to fail on NaN as well
     var = m2 - me**2
-    if float(var.min()) < -1e-9 * max(1.0, float(np.abs(m2).max())):
-        raise NotPositive(f"energy variance dipped to {var.min():.3e} along the trajectory")
+    lowest = float(var.min())
+    if not lowest >= -1e-9 * max(1.0, float(np.abs(m2).max())):
+        if not math.isfinite(lowest):
+            raise NotFinite("energy variance is non-finite along the trajectory")
+        raise NotPositive(f"energy variance dipped to {lowest:.3e} along the trajectory")
     var = np.clip(var, 0.0, None)
 
     # tr(rho^2), which is |psi|^4 for a state vector
     purities = np.linalg.norm(psis, axis=1) ** 4 if pure else np.einsum("tij,tji->t", rhos, rhos).real
     drift = float(np.max(np.abs(purities - purities[0])))
-    if drift > 1e-8:
+    if not drift <= 1e-8:
+        if not math.isfinite(drift):
+            raise NotFinite("purity is non-finite along the trajectory")
         raise NotPositive(f"purity drifted by {drift:.3e} along the trajectory; propagation is not unitary")
 
     return Trajectory(

@@ -307,6 +307,61 @@ class TestRunCommand:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**OSC, "params": {**OSC["params"], "squeeze": "x"}}, "params.squeeze"),
+            ({**OSC, "params": {**OSC["params"], "pump_rate": math.nan}}, "params.pump_rate"),
+            ({**OSC, "params": {**OSC["params"], "omega0": True}}, "params.omega0"),
+            ({**OSC, "params": {**OSC["params"], "pump_rate": 800.0}}, "params.pump_rate"),
+            (
+                {
+                    **BENCH,
+                    "kind": "piecewise_const",
+                    "params": {"segments": [{"matrix": [[0, 0], [0, 1]], "duration": "x"}]},
+                },
+                "params.segments[0].duration",
+            ),
+            (
+                {
+                    **BENCH,
+                    "kind": "matrix_samples",
+                    "params": {
+                        "samples": [
+                            {"t": None, "matrix": [[0, 0], [0, 1]]},
+                            {"t": math.pi, "matrix": [[0, 0], [0, 1]]},
+                        ]
+                    },
+                },
+                "params.samples[0].t",
+            ),
+            ({**BENCH, "params": {"matrix": [[{"re": "x"}, 0], [0, 1]]}}, "params.matrix[0][0].re"),
+            ({**BENCH, "params": {"matrix": [[0, math.nan], [math.nan, 1]]}}, "params.matrix[0][1]"),
+            ({**BENCH, "initial_state": {"amplitudes": [math.nan, 1]}}, "initial_state.amplitudes[0]"),
+        ],
+        ids=[
+            "squeeze_str",
+            "pump_rate_nan",
+            "omega0_bool",
+            "pump_rate_exp_overflow",
+            "segment_duration_str",
+            "sample_t_null",
+            "entry_re_str",
+            "entry_nan",
+            "amplitude_nan",
+        ],
+    )
+    def test_bad_param_exit_2_names_field(self, tmp_path, capsys, doc, field):
+        out = tmp_path / "out.json"
+        assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [{**BENCH, "steps": 10**400}, {**OSC, "dim": 10**400}], ids=["steps", "dim"])
+    def test_oversized_grid_exit_2(self, tmp_path, capsys, doc):
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "'steps' and 'dim'" in capsys.readouterr().err
+
     def test_sanitize_writes_non_finite_as_strings(self):
         doc = {"a": [math.nan, math.inf, -math.inf, 1.5], "b": {"c": math.nan}}
         assert _sanitize(doc) == {"a": ["nan", "inf", "-inf", 1.5], "b": {"c": "nan"}}

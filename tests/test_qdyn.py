@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     equal_superposition,
     random_hermitian,
+    random_mixed_state,
     random_pure_state,
     random_smooth_protocol,
     two_level_protocol,
@@ -25,16 +26,55 @@ from qspeed import (
     step_unitary,
     validate_state,
 )
+from qspeed import _linalg
 from qspeed.errors import (
     DimensionMismatch,
+    DomainError,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
     StepCountTooSmall,
 )
+from qspeed.qdyn import _unitaries
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def per_step_reference(p, s0, steps):
+    """States, <H_t> and Bures angles from a loop that builds each step
+    unitary inside the loop, with the observables formed as propagate forms
+    them: the reference for building all unitaries before the loop."""
+    s0 = validate_state(s0)
+    times = np.linspace(0.0, p.duration, steps + 1)
+    dt = p.duration / steps
+    w, v = np.linalg.eigh(p.matrices(times[:-1] + dt / 2))
+    phases = np.exp(-1j * w * dt / p.hbar)
+    h = p.matrices(times)
+    if s0.is_pure:
+        psis = np.empty((steps + 1, p.dim), dtype=complex)
+        psis[0] = s0.amplitudes
+        for k in range(steps):
+            u = (v[k] * phases[k]) @ v[k].conj().T
+            psis[k + 1] = u @ psis[k]
+        me = np.einsum("ti,tij,tj->t", psis.conj(), h, psis).real
+        overlap = np.einsum("i,ti->t", psis[0].conj(), psis)
+        residual = np.linalg.norm(psis - overlap[:, None] * psis[0][None, :], axis=1)
+        bures = np.arctan2(residual, np.abs(overlap))
+        states = psis
+    else:
+        rhos = np.empty((steps + 1, p.dim, p.dim), dtype=complex)
+        rhos[0] = s0.matrix
+        for k in range(steps):
+            u = (v[k] * phases[k]) @ v[k].conj().T
+            rhos[k + 1] = _linalg.symmetrize(u @ rhos[k] @ u.conj().T)
+        me = np.einsum("tij,tji->t", rhos, h).real
+        sqrt0 = _linalg.psd_sqrt(rhos[0], "initial state")
+        bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, rhos))
+        states = rhos
+    bures[0] = 0.0
+    return states, me, bures
 
 
 class TestValidateState:
@@ -63,6 +103,15 @@ class TestValidateState:
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotHermitian):
             QuantumState.mixed(m)
+
+    def test_nan_pure_state_rejected(self):
+        with pytest.raises(NotFinite, match="non-finite"):
+            QuantumState.pure([math.nan, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_matrix_rejected(self, bad):
+        with pytest.raises(NotFinite, match="non-finite"):
+            QuantumState.mixed(np.array([[bad, 0.0], [0.0, 0.5]]))
 
     def test_small_deviations_canonicalized(self):
         v = np.array([1.0, 1.0]) / math.sqrt(2) * (1 + 3e-7)
@@ -147,6 +196,10 @@ class TestGroundShift:
         for t in np.linspace(0.0, tau, 33):
             assert abs(np.linalg.eigvalsh(shifted.matrix(t))[0]) < 1e-12
 
+    def test_unknown_mode_is_domain_error(self):
+        with pytest.raises(DomainError, match="sometimes"):
+            ground_shift(two_level_protocol(), mode="sometimes")
+
     def test_global_mode_constant_offset(self):
         tau = 1.0
         p = HamiltonianProtocol(lambda t: np.diag([math.sin(t), 5.0]).astype(complex), tau)
@@ -198,6 +251,37 @@ class TestPropagate:
         p = two_level_protocol()
         with pytest.raises(DimensionMismatch):
             propagate(p, QuantumState.pure([1.0, 0.0, 0.0]), 64)
+
+    @pytest.mark.parametrize("field", ["duration", "hbar"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_protocol_rejects_non_positive_or_non_finite(self, field, value):
+        kwargs = {"duration": 1.0, "hbar": 1.0, field: value}
+        with pytest.raises(DomainError, match=field):
+            HamiltonianProtocol(lambda t: SZ, **kwargs)
+
+    def test_nan_hamiltonian_raises(self):
+        p = HamiltonianProtocol(lambda t: SZ * (math.nan if t > 0.5 else 1.0), 1.0)
+        with pytest.raises(NotFinite, match="H\\(t\\) on the sample grid has non-finite entries"):
+            propagate(p, equal_superposition(), 64)
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_propagate_matches_per_step_reference(self, pure):
+        rng = np.random.default_rng(21)
+        p = ground_shift(random_smooth_protocol(rng, 3))
+        s0 = random_pure_state(rng, 3) if pure else random_mixed_state(rng, 3)
+        traj = propagate(p, s0, 256)
+        states, me, bures = per_step_reference(p, s0, 256)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.mean_energy, me)
+        assert np.array_equal(traj.bures_from_initial, bures)
+
+    def test_step_unitary_is_a_slice_of_the_stacked_build(self):
+        rng = np.random.default_rng(22)
+        hs = np.stack([random_hermitian(rng, 4, 2.0) for _ in range(6)])
+        w, v = np.linalg.eigh(hs)
+        stacked = _unitaries(w, v, 0.037, 1.3)
+        for k, h in enumerate(hs):
+            assert np.array_equal(step_unitary(h, 0.037, 1.3), stacked[k])
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(StepCountTooSmall):
