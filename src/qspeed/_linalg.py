@@ -21,8 +21,11 @@ RANK_FLOOR = 1e-14
 
 def hermitian_deviation(m: np.ndarray) -> float:
     """Max elementwise deviation of m, or of a stack (..., d, d), from its
-    conjugate transpose; not finite when an entry is not."""
-    return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
+    conjugate transpose; not finite when an entry is not, which every
+    caller reports as :class:`NotFinite`."""
+    # inf - inf is NaN here; the caller names it, so numpy need not warn
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:

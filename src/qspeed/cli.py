@@ -202,12 +202,13 @@ def _ladder(dim: int) -> np.ndarray:
 
 
 def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
-    """Realize the configured protocol kind as a HamiltonianProtocol."""
+    """Realize the configured protocol kind as a HamiltonianProtocol whose
+    ``stack`` evaluates H on a whole time grid in one call."""
     kind, d, tau = cfg.kind, cfg.dim, cfg.duration
 
     if kind == "constant":
         h = _hamiltonian(cfg.params.get("matrix"), d, "params.matrix")
-        evaluator = lambda t: h
+        stack = lambda ts: np.repeat(h[None], len(ts), axis=0)
 
     elif kind == "piecewise_const":
         segs = cfg.params.get("segments")
@@ -224,11 +225,11 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
             edges.append(edges[-1] + sd)
         if abs(edges[-1] - tau) > 1e-9 * max(1.0, tau):
             raise BadConfig(f"params.segments: durations sum to {edges[-1]:g}, expected {tau:g}")
-        edges_arr = np.array(edges)
+        edges_arr, table = np.array(edges), np.stack(mats)
 
-        def evaluator(t, mats=mats, edges_arr=edges_arr):
-            i = min(int(np.searchsorted(edges_arr, t, side="right")) - 1, len(mats) - 1)
-            return mats[max(i, 0)]
+        def stack(ts):
+            # segment i holds on [edges[i], edges[i + 1]); the last one also past its end
+            return table[np.clip(np.searchsorted(edges_arr, ts, side="right") - 1, 0, len(mats) - 1)]
 
     elif kind == "rabi_qubit":
         if d != 2:
@@ -239,7 +240,11 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         if not math.isfinite(wd * tau):
             raise BadConfig("field 'params.drive_frequency' invalid: drive_frequency * duration overflows a float")
         sz, sx = _pauli()
-        evaluator = lambda t: (w0 / 2) * sz + amp * math.cos(wd * t) * sx
+
+        def stack(ts):
+            # math.cos, as the per-t formula had it: numpy's vectorized cos
+            # is not bound to round like the C library's on every platform
+            return (w0 / 2) * sz + np.array([amp * math.cos(wd * t) for t in ts.tolist()])[:, None, None] * sx
 
     elif kind == "landau_zener":
         if d != 2:
@@ -247,7 +252,7 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         v = _param(cfg.params, "sweep_rate", "landau_zener")
         gap = _param(cfg.params, "gap", "landau_zener")
         sz, sx = _pauli()
-        evaluator = lambda t: (v * (t - tau / 2) / 2) * sz + (gap / 2) * sx
+        stack = lambda ts: (v * (ts - tau / 2) / 2)[:, None, None] * sz + (gap / 2) * sx
 
     elif kind == "modulated_oscillator":
         w0 = _param(cfg.params, "omega0", "modulated_oscillator")
@@ -259,35 +264,38 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         a = _ladder(d)
         squeeze_op = a @ a + (a @ a).conj().T
 
-        def evaluator(t, hb=cfg.hbar):
-            return hb * w0 * math.exp(gamma * t) * number_op + lam * squeeze_op
+        def stack(ts):
+            # math.exp, not np.exp: the two differ in the last bit at some t
+            coeff = np.array([cfg.hbar * w0 * math.exp(gamma * t) for t in ts.tolist()])
+            return coeff[:, None, None] * number_op + lam * squeeze_op
 
     elif kind == "matrix_samples":
         samples = cfg.params.get("samples")
         if not isinstance(samples, list) or len(samples) < 2:
             raise BadConfig("params.samples: must be a list of at least 2 {t, matrix} objects")
-        ts, mats = [], []
+        knots, mats = [], []
         for i, s in enumerate(samples):
             if not isinstance(s, dict) or "t" not in s or "matrix" not in s:
                 raise BadConfig(f"params.samples[{i}]: needs 't' and 'matrix'")
-            ts.append(_finite(s["t"], f"params.samples[{i}].t"))
+            knots.append(_finite(s["t"], f"params.samples[{i}].t"))
             mats.append(_hamiltonian(s["matrix"], d, f"params.samples[{i}].matrix"))
-        ts_arr = np.array(ts)
-        if np.any(np.diff(ts_arr) <= 0):
+        knots_arr = np.array(knots)
+        if np.any(np.diff(knots_arr) <= 0):
             raise BadConfig("params.samples: t values must be strictly increasing")
-        if ts_arr[0] > 0.0 or ts_arr[-1] < tau:
+        if knots_arr[0] > 0.0 or knots_arr[-1] < tau:
             raise BadConfig(f"params.samples: t values must cover [0, {tau:g}]")
-        stack = np.stack(mats)
+        table = np.stack(mats)
 
-        def evaluator(t, ts_arr=ts_arr, stack=stack):
-            i = int(np.clip(np.searchsorted(ts_arr, t, side="right") - 1, 0, len(ts_arr) - 2))
-            w = (t - ts_arr[i]) / (ts_arr[i + 1] - ts_arr[i])
-            return (1.0 - w) * stack[i] + w * stack[i + 1]
+        def stack(ts):
+            # linear interpolation on the interval [knots[i], knots[i + 1]] holding t
+            i = np.clip(np.searchsorted(knots_arr, ts, side="right") - 1, 0, len(knots_arr) - 2)
+            w = ((ts - knots_arr[i]) / (knots_arr[i + 1] - knots_arr[i]))[:, None, None]
+            return (1.0 - w) * table[i] + w * table[i + 1]
 
     else:  # pragma: no cover - guarded by ProtocolConfig
         raise BadConfig(f"unknown protocol kind '{kind}'")
 
-    return qdyn.HamiltonianProtocol(evaluator, tau, cfg.hbar, cfg.label, d)
+    return qdyn.HamiltonianProtocol(None, tau, cfg.hbar, cfg.label, d, stack=stack)
 
 
 def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qdyn.QuantumState:

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     IndexOutOfRange,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotTraceless,
@@ -199,12 +200,15 @@ def bures_increment(rho: QuantumState, drho: np.ndarray, tol_p: float = 1e-12) -
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != (rho.dim, rho.dim):
         raise DimensionMismatch(f"drho shape {drho.shape} does not match dim {rho.dim}")
+    if not np.isfinite(drho).all():
+        raise NotFinite("drho has non-finite entries")
     dev = _linalg.hermitian_deviation(drho)
     scale = max(1.0, float(np.max(np.abs(drho))))
-    if dev > 1e-9 * scale:
+    # both checks are written to fail on NaN as well
+    if not dev <= 1e-9 * scale:
         raise NotHermitian(f"drho deviates from Hermiticity by {dev:.3e}")
     tr = complex(np.trace(drho))
-    if abs(tr) > 1e-9 * scale:
+    if not abs(tr) <= 1e-9 * scale:
         raise NotTraceless(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
     basis = eigensystem(rho.density_matrix())

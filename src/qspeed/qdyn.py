@@ -104,7 +104,11 @@ def validate_state(s: QuantumState) -> QuantumState:
             raise DimensionMismatch(f"dim {s.dim} != amplitude length {s.amplitudes.size}")
         if not np.isfinite(s.amplitudes).all():
             raise NotFinite("pure state amplitudes are non-finite")
-        norm = float(np.linalg.norm(s.amplitudes))
+        # finite amplitudes can still overflow the sum of squares
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(s.amplitudes))
+        if not math.isfinite(norm):
+            raise NotNormalized("pure state norm overflows a float; amplitudes must have unit norm")
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"pure state norm {norm:.8f} deviates from 1 beyond {NORM_TOL:g}")
         return QuantumState("pure", s.dim, amplitudes=s.amplitudes / norm)
@@ -141,23 +145,31 @@ class HamiltonianProtocol:
     """A driving protocol: t -> H(t) on [0, duration], with hbar attached.
 
     ``evaluator`` must return a Hermitian d x d matrix in energy units for
-    every t in [0, duration].  Hermiticity is validated on every evaluation.
+    every t in [0, duration].  A protocol may instead give ``stack``, which
+    maps an array of n times to the (n, d, d) stack of H(t) in one call;
+    its ``evaluator`` is then the one-sample stack :meth:`matrix`.
+    Hermiticity is validated on every evaluation.
     """
 
-    evaluator: Callable[[float], np.ndarray]
+    evaluator: Callable[[float], np.ndarray] | None
     duration: float
     hbar: float = 1.0
     label: str = ""
     dim: int = 0
+    stack: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for name in ("duration", "hbar"):
             # false for NaN and infinities too
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
+        if self.stack is not None:
+            object.__setattr__(self, "evaluator", self.matrix)
+        elif self.evaluator is None:
+            raise DomainError("a protocol needs an evaluator or a stack")
         if self.dim == 0:
-            probe = np.asarray(self.evaluator(0.0))
-            object.__setattr__(self, "dim", probe.shape[0])
+            probe = self.stack(np.zeros(1))[0] if self.stack is not None else self.evaluator(0.0)
+            object.__setattr__(self, "dim", np.shape(probe)[0])
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t), the one-sample stack of :meth:`matrices`."""
@@ -166,13 +178,18 @@ class HamiltonianProtocol:
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
 
-        Validates Hermiticity, and that every entry is finite, once on the
-        whole stack; subclasses may override to batch further per-sample work.
+        One call of ``stack`` when it is set, else one ``evaluator`` call per
+        sample.  Validates the shape, Hermiticity, and that every entry is
+        finite, once on the whole stack; subclasses may override to batch
+        further per-sample work.
         """
         ts = np.asarray(ts, dtype=float)
-        stack = np.stack([np.asarray(self.evaluator(float(t)), dtype=complex) for t in ts])
-        if stack.shape[1:] != (self.dim, self.dim):
-            raise DimensionMismatch(f"evaluator returned shape {stack.shape[1:]}")
+        if self.stack is not None:
+            stack = np.asarray(self.stack(ts), dtype=complex)
+        else:
+            stack = np.stack([np.asarray(self.evaluator(float(t)), dtype=complex) for t in ts])
+        if stack.shape != (len(ts), self.dim, self.dim):
+            raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -261,9 +278,17 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarr
     """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack.
 
     A stacked matmul, because it gives the same bits as building each
-    slice on its own; an einsum contraction does not.
+    slice on its own; an einsum contraction does not.  Raises
+    :class:`NotFinite` when a phase E dt / hbar overflows.
     """
-    phases = np.exp(-1j * w * dt / hbar)
+    # numpy's complex division scales by 1 / hbar, which overflows for a
+    # subnormal hbar even when E dt / hbar itself is small
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = -1j * w * dt / hbar
+    if not np.isfinite(angles).all():
+        top = float(np.abs(w).max())
+        raise NotFinite(f"step phase |E|*dt/hbar overflows a float (max |E| = {top:g}, dt = {dt:g}, hbar = {hbar:g})")
+    phases = np.exp(angles)
     return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,17 @@ class TestRunCommand:
         raw = {**OSC, "params": {"omega0": 1.0, "pump_rate": 0.0, "squeeze": 0.8}}
         cfg = write_config(tmp_path, raw)
         assert main(["run", cfg]) == 3
+
+    @pytest.mark.parametrize("squeeze", [0.0, 0.3])
+    def test_subnormal_hbar_exit_3_names_hbar(self, tmp_path, capsys, squeeze):
+        raw = {**OSC, "hbar": 5e-324, "params": {**OSC["params"], "squeeze": squeeze}}
+        cfg = write_config(tmp_path, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "step phase |E|*dt/hbar overflows" in err and "hbar = 4.94066e-324" in err
+        assert caught == []
 
     @pytest.mark.parametrize(
         "field, literal",

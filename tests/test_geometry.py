@@ -33,6 +33,7 @@ from qspeed.errors import (
     DimensionMismatch,
     GridMismatch,
     IndexOutOfRange,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotTraceless,
@@ -280,6 +281,11 @@ class TestBuresIncrement:
         rho = random_mixed_state(rng, 2)
         with pytest.raises(NotHermitian):
             bures_increment(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_perturbation(self, bad):
+        with pytest.raises(NotFinite, match="non-finite"):
+            bures_increment(QuantumState.mixed(np.eye(2) / 2), [[bad, 0.0], [0.0, bad]])
 
 
 class TestDynamicalVelocity:

@@ -104,6 +104,10 @@ class TestValidateState:
         with pytest.raises(NotHermitian):
             QuantumState.mixed(m)
 
+    def test_overflowing_norm_named(self):
+        with pytest.raises(NotNormalized, match="norm overflows"):
+            QuantumState.pure([1e200, 1e200])
+
     def test_nan_pure_state_rejected(self):
         with pytest.raises(NotFinite, match="non-finite"):
             QuantumState.pure([math.nan, 1.0])
@@ -282,6 +286,26 @@ class TestPropagate:
         stacked = _unitaries(w, v, 0.037, 1.3)
         for k, h in enumerate(hs):
             assert np.array_equal(step_unitary(h, 0.037, 1.3), stacked[k])
+
+    def test_overflowing_step_phase_names_hbar(self):
+        with pytest.raises(NotFinite, match="hbar = 4.94066e-324"):
+            step_unitary(SZ, 0.01, 5e-324)
+
+    def test_protocol_needs_an_evaluator_or_a_stack(self):
+        with pytest.raises(DomainError, match="evaluator or a stack"):
+            HamiltonianProtocol(None, 1.0)
+
+    def test_stack_protocol(self):
+        """A stack protocol gets its dim and its one-time evaluator from the stack."""
+        p = HamiltonianProtocol(None, 2.0, stack=lambda ts: ts[:, None, None] * SZ)
+        assert p.dim == 2
+        assert np.array_equal(p.evaluator(0.5), 0.5 * SZ)
+        assert np.array_equal(p.matrices([0.0, 1.5]), np.stack([0.0 * SZ, 1.5 * SZ]))
+
+    def test_stack_of_wrong_length_rejected(self):
+        p = HamiltonianProtocol(None, 1.0, dim=2, stack=lambda ts: np.stack([SZ] * (len(ts) + 1)))
+        with pytest.raises(DimensionMismatch, match="shape"):
+            p.matrices([0.0, 0.5])
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(StepCountTooSmall):
