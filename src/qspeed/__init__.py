@@ -21,26 +21,19 @@ from .bounds import (
     time_avg_mean_energy,
 )
 from .geometry import (
-    BuresIncrement,
     DistributionTrack,
     bures_increment,
     bures_length,
-    dynamical_velocity,
-    dynamical_velocity_signed,
     fidelity,
     fisher_information_1d,
     statistical_velocity_sq,
     wootters_angle,
 )
 from .qdyn import (
-    EigenSystem,
     HamiltonianProtocol,
     QuantumState,
     Trajectory,
-    eigensystem,
-    energy_variance,
     ground_shift,
-    mean_energy,
     propagate,
     step_unitary,
     validate_state,
@@ -50,7 +43,6 @@ from .verify import (
     CheckResult,
     audit_trajectory,
     check_trig_bound,
-    fisher_variance_bound,
 )
 
 __all__ = [
@@ -58,27 +50,20 @@ __all__ = [
     "errors",
     # qdyn
     "QuantumState",
-    "EigenSystem",
     "HamiltonianProtocol",
     "Trajectory",
     "validate_state",
-    "eigensystem",
     "ground_shift",
-    "mean_energy",
-    "energy_variance",
     "step_unitary",
     "propagate",
     # geometry
     "DistributionTrack",
-    "BuresIncrement",
     "fidelity",
     "bures_length",
     "wootters_angle",
     "fisher_information_1d",
     "statistical_velocity_sq",
     "bures_increment",
-    "dynamical_velocity",
-    "dynamical_velocity_signed",
     # bounds
     "QSLReport",
     "time_avg_mean_energy",
@@ -93,5 +78,4 @@ __all__ = [
     "CheckResult",
     "audit_trajectory",
     "check_trig_bound",
-    "fisher_variance_bound",
 ]

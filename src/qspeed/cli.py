@@ -49,7 +49,7 @@ PROTOCOL_KINDS = (
 
 LEAKAGE_LIMIT = 1e-6
 # a run holds a few (samples, dim, dim) complex arrays, with at least the
-# 1025 samples of the global-shift scan; a config whose array would pass this
+# samples of the global-shift scan; a config whose array would pass this
 # size exits 2 instead of failing to allocate
 MAX_ARRAY_BYTES = 2**32
 
@@ -107,7 +107,7 @@ class ProtocolConfig:
         steps = raw.get("steps", 2048)
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
-        if (max(steps, 1024) + 1) * dim * dim * 16 > MAX_ARRAY_BYTES:
+        if max(steps + 1, qdyn.GLOBAL_SCAN_SAMPLES) * dim * dim * 16 > MAX_ARRAY_BYTES:
             too_big = f"a (steps + 1, dim, dim) complex array exceeds {MAX_ARRAY_BYTES >> 30} GiB"
             raise BadConfig(f"fields 'steps' and 'dim' invalid: {too_big}")
         gsm = raw.get("ground_shift_mode", "instantaneous")
@@ -302,8 +302,7 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
     """Resolve the configured initial state (labels, amplitudes, or matrix)."""
     spec = cfg.initial_state
     if spec == "ground":
-        basis = qdyn.eigensystem(protocol.matrix(0.0))
-        return qdyn.QuantumState.pure(basis.eigenvectors[:, 0])
+        return qdyn.QuantumState.pure(np.linalg.eigh(protocol.matrix(0.0))[1][:, 0])
     if spec == "equal_superposition":
         return qdyn.QuantumState.pure(np.ones(cfg.dim) / math.sqrt(cfg.dim))
     if isinstance(spec, dict) and "amplitudes" in spec:
@@ -333,9 +332,9 @@ def _oscillator_leakage(traj: qdyn.Trajectory) -> float:
     return float(pops.max())
 
 
-def run_pipeline(cfg: ProtocolConfig, strict: bool = True):
+def run_pipeline(cfg: ProtocolConfig):
     """Ground shift, propagate, bound report, audit.  Returns (report dict,
-    ok flag); ``strict=False`` records bound violations instead of raising."""
+    bound report, audit, ok flag); a violated bound is recorded, not raised."""
     protocol = build_protocol(cfg)
     shifted = qdyn.ground_shift(protocol, cfg.ground_shift_mode)
     state = initial_state(cfg, protocol)
@@ -351,7 +350,7 @@ def run_pipeline(cfg: ProtocolConfig, strict: bool = True):
                 f"raise 'dim' or lower the squeeze coupling"
             )
 
-    report = bounds.build_report(traj, cfg.ml_mode, strict=strict)
+    report = bounds.build_report(traj, cfg.ml_mode, strict=False)
     audit = verify.audit_trajectory(traj, cfg.audit_tolerance)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"[qspeed] {cfg.label}: computed in {elapsed_ms:.1f} ms", file=sys.stderr)
@@ -428,7 +427,7 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 
 def run_command(config_path: str, output: str | None = None) -> int:
     cfg = ProtocolConfig.from_dict(load_config(config_path))
-    doc, report, audit, ok = run_pipeline(cfg, strict=False)
+    doc, report, audit, ok = run_pipeline(cfg)
     write_json(doc, output)
     if not ok:
         bad = [c.name for c in audit.checks if not c.passed]
@@ -489,7 +488,7 @@ def sweep_command(config_path: str, spec: SweepSpec) -> int:
         raw = json.loads(json.dumps(raw_base))
         _set_path(raw, spec.parameter, value)
         cfg = ProtocolConfig.from_dict(raw)
-        _, report, audit, _ = run_pipeline(cfg, strict=False)
+        _, report, audit, _ = run_pipeline(cfg)
         rows.append(
             [
                 float(value),
@@ -512,10 +511,10 @@ def sweep_command(config_path: str, spec: SweepSpec) -> int:
 def audit_command(config_path: str, tol: float | None = None, output: str | None = None) -> int:
     cfg = ProtocolConfig.from_dict(load_config(config_path))
     if tol is not None:
-        if tol <= 0:
+        if _finite(tol, "audit_tolerance") <= 0:
             raise BadConfig("field 'audit_tolerance' invalid: must be > 0")
         cfg = replace(cfg, audit_tolerance=tol)
-    doc, report, audit, ok = run_pipeline(cfg, strict=False)
+    doc, report, audit, ok = run_pipeline(cfg)
     for c in audit.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status}  {c.name:20s} worst_margin={c.worst_margin:+.3e} at t={c.worst_time:.6g}")
@@ -527,17 +526,15 @@ def audit_command(config_path: str, tol: float | None = None, output: str | None
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def gaussian_shift_track(
-    sigma: float,
-    n_params: int = 201,
-    param_step: float = 0.005,
-    grid_points: int = 4001,
-) -> geometry.DistributionTrack:
-    """Unit-speed translated Gaussian family, padded one step past [0, 1]."""
-    if sigma <= 0:
-        raise BadConfig("field 'sigma' invalid: must be > 0")
-    ts = (np.arange(n_params + 2) - 1) * param_step
-    grid = np.linspace(-8.0 * sigma, ts[-1] + 8.0 * sigma, grid_points)
+def gaussian_shift_track(sigma: float) -> geometry.DistributionTrack:
+    """Unit-speed translated Gaussian family on 4001 grid points, at 203
+    parameter values 0.005 apart: [0, 1] padded by one step each side."""
+    # outside this range the density's squared offsets of up to 8 sigma + 1,
+    # sigma**2 or 1 / sigma**2 overflow or vanish; false for NaN too
+    if not 1e-154 <= sigma <= 1e153:
+        raise BadConfig("field 'sigma' invalid: must be a number in [1e-154, 1e153]")
+    ts = (np.arange(203) - 1) * 0.005
+    grid = np.linspace(-8.0 * sigma, ts[-1] + 8.0 * sigma, 4001)
 
     def density(x, t):
         return np.exp(-((x - t) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))

@@ -47,16 +47,8 @@ class ParameterOutOfRange(QspeedError):
     """A parameter value is outside the sampled (interior) range."""
 
 
-class IndexOutOfRange(QspeedError):
-    """A sample index is not interior to the trajectory."""
-
-
 class TooFewSamples(QspeedError):
     """A trajectory has too few samples for the requested analysis."""
-
-
-class PureCheckOnMixedRun(QspeedError):
-    """A pure-state-only check was requested on a mixed-state trajectory."""
 
 
 class DomainError(QspeedError):

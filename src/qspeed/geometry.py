@@ -3,8 +3,8 @@
 Uhlmann fidelity and the Bures angle between density operators, the Bures
 metric increment through the eigenbasis superoperator (matrix elements
 divided by eigenvalue sums), the statistical angle between sampled
-probability distributions, Fisher information of a one-parameter family,
-and the dynamical velocity d_t L along a trajectory.
+probability distributions, and Fisher information of a one-parameter
+family.
 """
 
 from __future__ import annotations
@@ -20,26 +20,22 @@ from . import _linalg
 from .errors import (
     DimensionMismatch,
     GridMismatch,
-    IndexOutOfRange,
     NotFinite,
     NotHermitian,
     NotNormalized,
     NotTraceless,
     ParameterOutOfRange,
 )
-from .qdyn import EigenSystem, QuantumState, Trajectory, eigensystem
+from .qdyn import QuantumState
 
 __all__ = [
     "DistributionTrack",
-    "BuresIncrement",
     "fidelity",
     "bures_length",
     "wootters_angle",
     "fisher_information_1d",
     "statistical_velocity_sq",
     "bures_increment",
-    "dynamical_velocity",
-    "dynamical_velocity_signed",
 ]
 
 DENSITY_SUPPORT_CUTOFF = 1e-14
@@ -66,21 +62,27 @@ def bures_length(a: QuantumState, b: QuantumState) -> float:
 def wootters_angle(p0: np.ndarray, p1: np.ndarray, h: float) -> float:
     """Statistical angle arccos(sum sqrt(p0 p1) h) between two sampled densities.
 
-    Both densities must be nonnegative and normalized (sum p h = 1 within
-    1e-8) on the same uniform grid of spacing ``h``.  The overlap is divided
-    by the geometric mean of the two quadrature norms, which keeps it <= 1
-    by Cauchy-Schwarz and makes identical inputs give angle 0 instead of the
-    arccos noise floor; within the admitted normalization tolerance this
-    agrees with the plain sum to better than 1e-8.
+    Both densities must be finite, nonnegative and normalized (sum p h = 1
+    within 1e-8) on the same uniform grid of finite spacing ``h``.  The
+    overlap is divided by the geometric mean of the two quadrature norms,
+    which keeps it <= 1 by Cauchy-Schwarz and makes identical inputs give
+    angle 0 instead of the arccos noise floor; within the admitted
+    normalization tolerance this agrees with the plain sum to better than
+    1e-8.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape:
         raise GridMismatch(f"density lengths differ: {p0.shape} vs {p1.shape}")
+    if not math.isfinite(h):
+        raise NotFinite(f"grid spacing h is {h}")
     norms = []
     for name, p in (("first", p0), ("second", p1)):
-        total = float(p.sum() * h)
-        if abs(total - 1.0) > 1e-8:
+        if not np.isfinite(p).all():
+            raise NotFinite(f"{name} density has non-finite entries")
+        with np.errstate(over="ignore"):  # an overflowing total fails below
+            total = float(p.sum() * h)
+        if not abs(total - 1.0) <= 1e-8:
             raise NotNormalized(f"{name} density sums to {total:.10f} (must be 1 within 1e-8)")
         norms.append(total)
     overlap = float(np.sqrt(p0 * p1).sum() * h) / math.sqrt(norms[0] * norms[1])
@@ -92,8 +94,8 @@ class DistributionTrack:
     """A one-parameter family of probability densities on a uniform grid.
 
     ``densities[i]`` is the density sampled at ``parameter_values[i]`` on
-    ``grid``.  Every density must be nonnegative and Riemann-normalized
-    (sum P h = 1 within 1e-8).
+    ``grid``.  Every entry must be finite, and every density nonnegative and
+    Riemann-normalized (sum P h = 1 within 1e-8).
     """
 
     grid: np.ndarray
@@ -104,18 +106,27 @@ class DistributionTrack:
         grid = np.asarray(self.grid, dtype=float)
         ts = np.asarray(self.parameter_values, dtype=float)
         dens = np.asarray(self.densities, dtype=float)
+        for name, arr in (("grid", grid), ("parameter_values", ts), ("densities", dens)):
+            if not np.isfinite(arr).all():
+                raise NotFinite(f"{name} has non-finite entries")
         if grid.ndim != 1 or grid.size < 2:
             raise GridMismatch("grid must be a 1-D array with at least 2 points")
-        spacings = np.diff(grid)
+        # an overflowing spacing is named below, so numpy need not warn
+        with np.errstate(over="ignore"):
+            spacings = np.diff(grid)
+        if not np.isfinite(spacings).all():
+            raise NotFinite("grid spacing overflows a float")
         if np.max(np.abs(spacings - spacings[0])) > 1e-9 * abs(spacings[0]):
             raise GridMismatch("grid spacing must be uniform")
         if dens.shape != (ts.size, grid.size):
             raise GridMismatch(f"densities shape {dens.shape} does not match ({ts.size}, {grid.size})")
-        if float(dens.min()) < -1e-12:
+        # both checks are written to fail on NaN as well
+        if not float(dens.min()) >= -1e-12:
             raise NotNormalized(f"density has negative entry {dens.min():.3e}")
-        norms = dens.sum(axis=1) * spacings[0]
+        with np.errstate(over="ignore"):  # an overflowing norm fails below
+            norms = dens.sum(axis=1) * spacings[0]
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > 1e-8:
+        if not worst <= 1e-8:
             raise NotNormalized(f"density normalization off by {worst:.3e} (must be within 1e-8)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "parameter_values", ts)
@@ -177,22 +188,14 @@ def statistical_velocity_sq(track: DistributionTrack, t: float) -> float:
     return float((ell / delta) ** 2)
 
 
-@dataclass(frozen=True, eq=False)
-class BuresIncrement:
-    """A squared Bures length element and the state eigenbasis used for it."""
-
-    value: float
-    eigen_basis: EigenSystem
-
-
-def bures_increment(rho: QuantumState, drho: np.ndarray, tol_p: float = 1e-12) -> BuresIncrement:
+def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     """Squared Bures distance element dL^2 for the perturbation ``drho``.
 
     In the eigenbasis of rho (eigenvalues p_j),
 
         dL^2 = (1/2) sum_{j,k} |<j|drho|k>|^2 / (p_j + p_k),
 
-    where terms with p_j + p_k <= ``tol_p`` are skipped rather than
+    where terms with p_j + p_k <= 1e-12 are skipped rather than
     regularized: for rank-deficient states under unitary motion those terms
     have vanishing numerators, and skipping them reproduces the pure-state
     limit exactly.  ``drho`` must be Hermitian and traceless within 1e-9.
@@ -211,28 +214,9 @@ def bures_increment(rho: QuantumState, drho: np.ndarray, tol_p: float = 1e-12) -
     if not abs(tr) <= 1e-9 * scale:
         raise NotTraceless(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
-    basis = eigensystem(rho.density_matrix())
-    p = np.clip(basis.eigenvalues, 0.0, None)
-    o = basis.eigenvectors.conj().T @ drho @ basis.eigenvectors
+    w, v = _linalg.eigh_checked(rho.density_matrix(), what="state")
+    p = np.clip(w, 0.0, None)
+    o = v.conj().T @ drho @ v
     sums = p[:, None] + p[None, :]
-    mask = sums > tol_p
-    value = 0.5 * float(np.sum(np.abs(o[mask]) ** 2 / sums[mask]))
-    return BuresIncrement(value=value, eigen_basis=basis)
-
-
-def dynamical_velocity_signed(traj: Trajectory, index: int) -> float:
-    """Signed rate of change of the Bures angle from the initial state,
-    d_t L(rho_0, rho_t), by central finite difference at an interior sample."""
-    if not 0 < index < traj.n_samples - 1:
-        raise IndexOutOfRange(f"index {index} is not interior to [1, {traj.n_samples - 2}]")
-    ell = traj.bures_from_initial
-    return float((ell[index + 1] - ell[index - 1]) / (2.0 * traj.dt))
-
-
-def dynamical_velocity(traj: Trajectory, index: int) -> float:
-    """|d_t L(rho_0, rho_t)| at an interior sample.
-
-    The derivative changes sign whenever the trajectory turns back toward
-    the initial state; use :func:`dynamical_velocity_signed` to inspect it.
-    """
-    return abs(dynamical_velocity_signed(traj, index))
+    mask = sums > 1e-12
+    return 0.5 * float(np.sum(np.abs(o[mask]) ** 2 / sums[mask]))

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NotFinite,
-    NotHermitian,
     NotNormalized,
     NotPositive,
     StepCountTooSmall,
@@ -30,19 +29,16 @@ from .errors import (
 
 __all__ = [
     "QuantumState",
-    "EigenSystem",
     "HamiltonianProtocol",
     "Trajectory",
     "validate_state",
-    "eigensystem",
     "ground_shift",
-    "mean_energy",
-    "energy_variance",
     "step_unitary",
     "propagate",
 ]
 
 NORM_TOL = 1e-6
+GLOBAL_SCAN_SAMPLES = 1025
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,21 +122,6 @@ def validate_state(s: QuantumState) -> QuantumState:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Ascending eigenvalues and the unitary of eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigensystem(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = np.asarray(h, dtype=complex)
-    w, v = _linalg.eigh_checked(h, what="Hamiltonian")
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
-
-
-@dataclass(frozen=True, eq=False)
 class HamiltonianProtocol:
     """A driving protocol: t -> H(t) on [0, duration], with hbar attached.
 
@@ -217,20 +198,19 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
 def ground_shift(
     p: HamiltonianProtocol,
     mode: Literal["instantaneous", "global"] = "instantaneous",
-    scan_samples: int = 1024,
 ) -> HamiltonianProtocol:
     """Shift the protocol so mean energies are measured above the ground state.
 
     ``instantaneous`` (default) subtracts the lowest eigenvalue of H(t) at each
     time, keeping <H_t> >= 0 pointwise.  ``global`` subtracts a single constant,
     the minimum instantaneous ground energy over a uniform scan of
-    ``scan_samples`` + 1 times in [0, duration].  Either way the returned
+    ``GLOBAL_SCAN_SAMPLES`` times in [0, duration].  Either way the returned
     protocol evaluates ``p`` and applies the shift to the whole H(t) stack.
     """
     if mode == "instantaneous":
         offset = None
     elif mode == "global":
-        ts = np.linspace(0.0, p.duration, scan_samples + 1)
+        ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
         offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
     else:
         raise DomainError(f"unknown ground shift mode {mode!r}")
@@ -238,40 +218,6 @@ def ground_shift(
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
     # __post_init__ binds the evaluator to the shifted one-sample stack
     return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, base=p, global_offset=offset)
-
-
-def mean_energy(s: QuantumState, h: np.ndarray) -> float:
-    """tr(rho H), or <psi|H|psi> for pure states; the real part is returned
-    after checking the imaginary residue is below 1e-9 of the local scale."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (s.dim, s.dim):
-        raise DimensionMismatch(f"H shape {h.shape} does not match state dim {s.dim}")
-    if s.is_pure:
-        val = complex(s.amplitudes.conj() @ (h @ s.amplitudes))
-    else:
-        val = complex(np.einsum("ij,ji->", s.matrix, h))
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-9 * scale:
-        raise NotHermitian(f"mean energy has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def energy_variance(s: QuantumState, h: np.ndarray) -> float:
-    """<H^2> - <H>^2, clamped to 0 when within -1e-9 of zero."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (s.dim, s.dim):
-        raise DimensionMismatch(f"H shape {h.shape} does not match state dim {s.dim}")
-    if s.is_pure:
-        hpsi = h @ s.amplitudes
-        m1 = float((s.amplitudes.conj() @ hpsi).real)
-        m2 = float(np.linalg.norm(hpsi) ** 2)
-    else:
-        m1 = float(np.einsum("ij,ji->", s.matrix, h).real)
-        m2 = float(np.einsum("ij,jk,ki->", s.matrix, h, h).real)
-    var = m2 - m1 * m1
-    if var < -1e-9 * max(1.0, m2):
-        raise NotPositive(f"energy variance {var:.3e} is negative beyond tolerance")
-    return max(var, 0.0)
 
 
 def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarray:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError, PureCheckOnMixedRun, TooFewSamples
+from .errors import DomainError, TooFewSamples
 from .qdyn import Trajectory
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "PURE_ONLY_CHECKS",
     "audit_trajectory",
     "check_trig_bound",
-    "fisher_variance_bound",
 ]
 
 PURE_ONLY_CHECKS = ("overlap_derivative", "sin_velocity", "phase_mean_energy", "overlap_cosine")
@@ -132,27 +130,20 @@ def _scalar(name, lhs, rhs, time, tol) -> CheckResult:
     )
 
 
-def audit_trajectory(
-    traj: Trajectory,
-    tol: float = 1e-6,
-    on_mixed: Literal["skip", "error"] = "skip",
-) -> AuditReport:
+def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     """Run every inequality check on a trajectory.
 
     Checks needing the overlap with the initial state apply to pure runs
-    only; on mixed runs they are skipped and listed in ``skipped`` (or raise
-    :class:`PureCheckOnMixedRun` with ``on_mixed="error"``).  Derivatives are
-    second-order central differences at interior samples; integrated checks
-    use the trapezoid rule on the run grid, and H(t) is read from
-    ``traj.h_samples``.  The trajectory must come from a ground-shifted
-    protocol for the mean-energy checks to be meaningful.
+    only; on mixed runs they are skipped and listed in ``skipped``.
+    Derivatives are second-order central differences at interior samples;
+    integrated checks use the trapezoid rule on the run grid, and H(t) is
+    read from ``traj.h_samples``.  The trajectory must come from a
+    ground-shifted protocol for the mean-energy checks to be meaningful.
     """
     n = traj.n_samples
     if n < MIN_SAMPLES:
         raise TooFewSamples(f"audit needs at least {MIN_SAMPLES} samples, got {n}")
     pure = traj.is_pure
-    if not pure and on_mixed == "error":
-        raise PureCheckOnMixedRun("trajectory is mixed; pure-state checks cannot run")
 
     hbar = traj.hbar
     dt = traj.dt
@@ -235,19 +226,3 @@ def check_trig_bound(x):
         raise DomainError(f"argument outside [0, pi/2]: {x!r}")
     val = np.abs(np.cos(arr) - 1.0) - (4.0 / math.pi**2) * arr**2
     return float(val) if np.isscalar(x) or arr.ndim == 0 else val
-
-
-def fisher_variance_bound(traj: Trajectory) -> float:
-    """Worst margin of <dH_t^2>/hbar^2 - (d_t L)^2 over interior samples.
-
-    The squared rate of change of the Bures angle from the initial state is
-    bounded by the energy variance; for pure runs the margin approaches zero
-    at early times (rank-1 saturation), for full-rank mixed runs it stays
-    strictly positive.
-    """
-    if traj.n_samples < MIN_SAMPLES:
-        raise TooFewSamples(f"need at least {MIN_SAMPLES} samples, got {traj.n_samples}")
-    ell = traj.bures_from_initial
-    dl = (ell[2:] - ell[:-2]) / (2.0 * traj.dt)
-    bound = traj.energy_variance[1:-1] / traj.hbar**2
-    return float(np.min(bound - dl**2))

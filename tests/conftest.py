@@ -58,6 +58,13 @@ def equal_superposition(dim=2):
     return QuantumState.pure(np.ones(dim) / math.sqrt(dim))
 
 
+def bures_rate(traj):
+    """d_t L(rho_0, rho_t) at the interior samples 1 .. N-1, by the central
+    difference that the audit's velocity checks use."""
+    ell = traj.bures_from_initial
+    return (ell[2:] - ell[:-2]) / (2.0 * traj.dt)
+
+
 def run_random(rng, dim, pure, steps=512, scale=1.0, hbar=1.0, duration=None):
     """One ground-shifted random run; returns the trajectory."""
     protocol = random_smooth_protocol(rng, dim, duration=duration, hbar=hbar, scale=scale)

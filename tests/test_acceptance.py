@@ -159,7 +159,7 @@ def rerun(corpus):
 def test_criterion_1_saturation_benchmark():
     cfg = ProtocolConfig.from_dict(BENCH_CONFIG)
     t0 = time.perf_counter()
-    _, report, _, _ = run_pipeline(cfg, strict=False)
+    _, report, _, _ = run_pipeline(cfg)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(report.bures - math.pi / 2) <= 1e-6
@@ -409,7 +409,7 @@ def test_criterion_4_metric_increment_consistency():
         def gap(dt):
             target = rho_at(t0 + dt)
             ell2 = bures_length(base, QuantumState.mixed(target)) ** 2
-            form = bures_increment(base, target - base.matrix).value
+            form = bures_increment(base, target - base.matrix)
             return ell2 / form - 1.0
 
         d1, d2, d4 = gap(h_step), gap(h_step / 2), gap(h_step / 4)

@@ -1,0 +1,73 @@
+"""The public API: exactly the names the pipeline and its consumers use."""
+
+import importlib
+
+import pytest
+
+import qspeed
+
+PUBLIC = [
+    "AuditReport",
+    "CheckResult",
+    "DistributionTrack",
+    "HamiltonianProtocol",
+    "QSLReport",
+    "QuantumState",
+    "Trajectory",
+    "__version__",
+    "audit_trajectory",
+    "build_report",
+    "bures_increment",
+    "bures_length",
+    "check_trig_bound",
+    "errors",
+    "fidelity",
+    "fisher_information_1d",
+    "ground_shift",
+    "propagate",
+    "qsl_time",
+    "statistical_velocity_sq",
+    "step_unitary",
+    "tau_ml_linear",
+    "tau_ml_quadratic",
+    "tau_mt",
+    "time_avg_energy_variance",
+    "time_avg_mean_energy",
+    "validate_state",
+    "wootters_angle",
+]
+
+# per-state or per-index copies of what propagate and the audit compute
+DELETED = [
+    "mean_energy",
+    "energy_variance",
+    "dynamical_velocity",
+    "dynamical_velocity_signed",
+    "fisher_variance_bound",
+    "EigenSystem",
+    "eigensystem",
+    "BuresIncrement",
+]
+
+
+def test_public_names():
+    assert sorted(qspeed.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module", ["qspeed", "qspeed.qdyn", "qspeed.geometry", "qspeed.bounds", "qspeed.verify", "qspeed.cli"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_helper_not_importable(name):
+    assert not hasattr(qspeed, name)
+    with pytest.raises(ImportError):
+        exec(f"from qspeed import {name}", {})
+
+
+def test_deleted_error_classes():
+    assert not hasattr(qspeed.errors, "IndexOutOfRange")
+    assert not hasattr(qspeed.errors, "PureCheckOnMixedRun")

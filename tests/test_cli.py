@@ -458,7 +458,7 @@ class TestSweepCommand:
         sweep_command(cfg, SweepSpec("params.pump_rate", [0.5], str(out)))
         header, rows = csv_rows(out)
         single = ProtocolConfig.from_dict({**cfg_doc, "params": {**cfg_doc["params"], "pump_rate": 0.5}})
-        _, report, _, _ = run_pipeline(single, strict=False)
+        _, report, _, _ = run_pipeline(single)
         assert float(rows[0][header.index("e_avg")]) == pytest.approx(report.e_avg, rel=1e-15)
 
 
@@ -473,6 +473,12 @@ class TestAuditCommand:
         raw = {**BENCH, "initial_state": {"amplitudes": [math.sqrt(0.75), 0.5]}}
         cfg = write_config(tmp_path, raw)
         assert main(["audit", cfg]) == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit_2_names_field(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, {**BENCH, "steps": 16})
+        assert main(["audit", cfg, f"--tol={tol}"]) == 2
+        assert "'audit_tolerance'" in capsys.readouterr().err
 
 
 class TestFisherCommand:
@@ -489,6 +495,21 @@ class TestFisherCommand:
 
     def test_bad_sigma_exit_2(self):
         assert main(["fisher", "--sigma", "-1"]) == 2
+
+    # 1e200 and 1e-320 over- and underflow sigma**2; 1e154 overflows the
+    # squared offsets of the density's 8-sigma grid
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "1e200", "1e-320", "1e154"])
+    def test_unusable_sigma_exit_2_names_sigma(self, capsys, sigma):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fisher", f"--sigma={sigma}"]) == 2
+        captured = capsys.readouterr()
+        assert "'sigma'" in captured.err and captured.out == ""
+        assert caught == []
+
+    def test_narrow_sigma_exit_3_names_normalization(self, capsys):
+        assert main(["fisher", "--sigma", "1e-3"]) == 3
+        assert "density normalization off" in capsys.readouterr().err
 
     def test_unknown_demo_exit_2(self):
         assert main(["fisher", "--sigma", "1", "--demo", "other"]) == 2

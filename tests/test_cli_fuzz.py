@@ -1,13 +1,16 @@
-"""Fuzz `qspeed run` in-process over mutated valid configs of all six kinds.
+"""Fuzz `qspeed run` in-process over mutated valid configs of all six kinds,
+and the float flags `fisher --sigma` and `audit --tol` over arbitrary floats.
 
-Whatever a config holds, `main` must return one of the documented exit codes
-(0, 2 config error, 3 numerical error, 4 violation) and never raise.
+Whatever a config or flag holds, `main` must return one of the documented
+exit codes (0, 2 config error, 3 numerical error, 4 violation) and never
+raise; the flags must also emit no warning.
 """
 
 import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,26 @@ def test_mutated_configs_exit_with_a_documented_code(data):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "-o", str(Path(tmp) / "out.json")]) in EXIT_CODES
+
+
+# any float, plus NaN, infinities, subnormals, huge magnitudes and the
+# values at the edges of the valid ranges, which a random draw may miss
+flag_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-320, 1e-154, 1e153, 1e154, 1e-3, 0.5, 1e300, -1e300]
+)
+
+
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@hypothesis.given(flag=st.sampled_from(["fisher", "audit"]), value=flag_floats)
+def test_float_flags_exit_with_a_documented_code_and_no_warning(flag, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out")
+        if flag == "fisher":
+            argv = ["fisher", f"--sigma={value!r}", "-o", out]
+        else:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(BASE_CONFIGS[0]))
+            argv = ["audit", str(cfg), f"--tol={value!r}", "-o", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) in EXIT_CODES

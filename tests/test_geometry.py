@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bures_rate,
     random_hermitian,
     random_mixed_state,
     random_pure_state,
@@ -19,8 +20,6 @@ from qspeed import (
     QuantumState,
     bures_increment,
     bures_length,
-    dynamical_velocity,
-    dynamical_velocity_signed,
     fidelity,
     fisher_information_1d,
     ground_shift,
@@ -32,7 +31,6 @@ from qspeed import (
 from qspeed.errors import (
     DimensionMismatch,
     GridMismatch,
-    IndexOutOfRange,
     NotFinite,
     NotHermitian,
     NotNormalized,
@@ -160,6 +158,37 @@ class TestWoottersAngle:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             wootters_angle(np.ones(4), np.ones(4) / 4, 1.0)
+        with pytest.raises(NotNormalized):
+            wootters_angle([1.7e308, 1.7e308], [0.5, 0.5], 1.0)  # the sum overflows
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        half = [0.5, 0.5]
+        for p0, p1, h in (([bad, 1.0], half, 1.0), (half, [1.0, bad], 1.0), (half, half, bad)):
+            with pytest.raises(NotFinite):
+                wootters_angle(p0, p1, h)
+
+
+class TestDistributionTrack:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        grid = np.linspace(0.0, 1.0, 11)
+        ts = np.array([0.0, 0.1, 0.2])
+        dens = np.ones((3, 11)) / 1.1
+        for field, arr in (("grid", grid), ("parameter_values", ts), ("densities", dens)):
+            arr = arr.copy()
+            arr.flat[1] = bad
+            args = {"grid": grid, "parameter_values": ts, "densities": dens, field: arr}
+            with pytest.raises(NotFinite, match=field):
+                DistributionTrack(**args)
+        with pytest.raises(NotFinite, match="densities"):
+            DistributionTrack(grid, ts, np.full((3, 11), bad))
+
+    def test_overflowing_spacing_or_norm_named(self):
+        with pytest.raises(NotFinite, match="spacing"):
+            DistributionTrack(np.array([-1.7e308, 1.7e308]), np.array([0.0]), np.array([[0.5, 0.5]]))
+        with pytest.raises(NotNormalized):
+            DistributionTrack(np.array([0.0, 1.0]), np.array([0.0]), np.array([[1.7e308, 1.7e308]]))
 
 
 class TestFisherInformation:
@@ -226,7 +255,7 @@ class TestBuresIncrement:
         rng = np.random.default_rng(5)
         rho = random_mixed_state(rng, 3)
         inc = bures_increment(rho, np.zeros((3, 3)))
-        assert inc.value == 0.0
+        assert type(inc) is float and inc == 0.0
 
     def test_first_order_match_with_finite_difference(self):
         # squared endpoint length vs quadratic form: relative gap shrinks ~ dt
@@ -247,7 +276,7 @@ class TestBuresIncrement:
             def gap(dt):
                 target = rho_at(t0 + dt)
                 ell2 = bures_length(base, QuantumState.mixed(target)) ** 2
-                form = bures_increment(base, target - base.matrix).value
+                form = bures_increment(base, target - base.matrix)
                 return ell2 / form - 1.0
 
             d1, d2 = gap(0.04), gap(0.02)
@@ -264,7 +293,7 @@ class TestBuresIncrement:
         rho = QuantumState.mixed((1 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(perp, perp.conj()))
         h = random_hermitian(rng, 2, scale=2.0)
         drho_dt = -1j * (h @ rho.matrix - rho.matrix @ h)
-        rate_sq = bures_increment(rho, drho_dt).value
+        rate_sq = bures_increment(rho, drho_dt)
         state = QuantumState.mixed(rho.matrix)
         me = float(np.trace(rho.matrix @ h).real)
         var = float(np.trace(rho.matrix @ h @ h).real) - me**2
@@ -289,6 +318,8 @@ class TestBuresIncrement:
 
 
 class TestDynamicalVelocity:
+    """d_t L(rho_0, rho_t) by the central difference of the audit's checks."""
+
     def test_constant_two_level_closed_form(self):
         # equal superposition under diag(0, E): L(t) = E t / (2 hbar)
         energy = 1.5
@@ -297,15 +328,16 @@ class TestDynamicalVelocity:
             QuantumState.pure(np.ones(2) / math.sqrt(2)),
             512,
         )
+        rate = bures_rate(traj)
         for i in (10, 100, 300, 500):
-            assert dynamical_velocity(traj, i) == pytest.approx(energy / 2, rel=1e-6)
-            assert dynamical_velocity_signed(traj, i) > 0
+            assert abs(rate[i - 1]) == pytest.approx(energy / 2, rel=1e-6)
+            assert rate[i - 1] > 0
 
     def test_stationary_zero(self):
         h = np.diag([0.0, 2.0]).astype(complex)
         p = HamiltonianProtocol(lambda t: h, 3.0)
         traj = propagate(p, QuantumState.pure([1.0, 0.0]), 256)
-        assert dynamical_velocity(traj, 128) == pytest.approx(0.0, abs=1e-10)
+        assert abs(bures_rate(traj)[127]) == pytest.approx(0.0, abs=1e-10)
 
     def test_bounded_by_energy_spread(self):
         # N = 2048 keeps the finite-difference error below the 1e-6 slack
@@ -313,11 +345,6 @@ class TestDynamicalVelocity:
         for _ in range(4):
             traj = run_random(rng, 2, pure=bool(rng.integers(0, 2)), steps=2048)
             spread = np.sqrt(traj.energy_variance)
+            rate = bures_rate(traj)
             for i in range(1, traj.n_samples - 1):
-                assert dynamical_velocity(traj, i) <= spread[i] / traj.hbar + 1e-6
-
-    def test_index_out_of_range(self):
-        traj = propagate(ground_shift(two_level_protocol()), QuantumState.pure([1.0, 0.0]), 64)
-        for bad in (0, 64, 65):
-            with pytest.raises(IndexOutOfRange):
-                dynamical_velocity(traj, bad)
+                assert abs(rate[i - 1]) <= spread[i] / traj.hbar + 1e-6

@@ -18,15 +18,13 @@ from qspeed import (
     QuantumState,
     audit_trajectory,
     build_report,
-    eigensystem,
-    energy_variance,
     ground_shift,
-    mean_energy,
     propagate,
     step_unitary,
     validate_state,
 )
 from qspeed import _linalg
+from qspeed.cli import ProtocolConfig, build_protocol, initial_state
 from qspeed.errors import (
     DimensionMismatch,
     DomainError,
@@ -127,57 +125,68 @@ class TestValidateState:
         assert np.trace(m.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
+def ground_amplitudes(h):
+    """The "ground" initial state of a constant protocol with real ``h``."""
+    cfg = ProtocolConfig.from_dict(
+        {"kind": "constant", "dim": len(h), "duration": 1.0, "params": {"matrix": h.tolist()}, "initial_state": "ground"}
+    )
+    return initial_state(cfg, build_protocol(cfg)).amplitudes
+
+
+def constant_run(h, s, steps=16):
+    """``s`` under the constant Hamiltonian ``h`` for unit time, unshifted."""
+    h = np.asarray(h, dtype=complex)
+    return propagate(HamiltonianProtocol(lambda t: h, 1.0), s, steps)
+
+
 class TestEigensystem:
+    """The eigendecompositions behind step unitaries and the "ground" state."""
+
     def test_diagonal(self):
-        es = eigensystem(np.diag([2.0, -1.0]))
-        assert np.allclose(es.eigenvalues, [-1.0, 2.0])
+        h = np.diag([2.0, -1.0])
+        assert np.allclose(step_unitary(h, 0.3, 1.0), np.diag(np.exp(-0.3j * np.array([2.0, -1.0]))))
+        # eigenvalues ascend, so the ground state is the eigenvector of -1
+        assert np.allclose(np.abs(ground_amplitudes(h)), [0.0, 1.0])
 
     def test_pauli_x(self):
-        es = eigensystem(SX)
-        assert np.allclose(es.eigenvalues, [-1.0, 1.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            h = random_hermitian(rng, 4, scale=3.0)
-            es = eigensystem(h)
-            recon = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
-            tol = 1e-9 * (1.0 + np.max(np.abs(h)))
-            assert np.max(np.abs(h - recon)) <= tol
-            gram = es.eigenvectors.conj().T @ es.eigenvectors
-            assert np.max(np.abs(gram - np.eye(4))) <= 1e-9
+        expected = math.cos(0.3) * np.eye(2) - 1j * math.sin(0.3) * SX
+        assert np.allclose(step_unitary(SX, 0.3, 1.0), expected)
+        assert abs(np.vdot([1.0, -1.0], ground_amplitudes(SX.real))) / math.sqrt(2) == pytest.approx(1.0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            step_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1, 1.0)
 
 
 class TestEnergyMoments:
+    """<H_t> and the energy variance along constant-H runs of ``propagate``."""
+
     def test_mean_maximally_mixed(self):
         s = QuantumState.mixed(np.eye(2) / 2)
-        assert mean_energy(s, np.diag([0.0, 3.0])) == pytest.approx(1.5)
+        assert constant_run(np.diag([0.0, 3.0]), s).mean_energy == pytest.approx(1.5)
 
     def test_mean_eigenstate(self):
         s = QuantumState.pure([0.0, 1.0])
-        assert mean_energy(s, np.diag([0.0, 3.0])) == pytest.approx(3.0)
+        assert constant_run(np.diag([0.0, 3.0]), s).mean_energy == pytest.approx(3.0)
 
     def test_mean_superposition_pauli_x(self):
-        assert mean_energy(equal_superposition(), SX) == pytest.approx(1.0)
+        assert constant_run(SX, equal_superposition()).mean_energy == pytest.approx(1.0)
 
     def test_variance_eigenstate_zero(self):
         s = QuantumState.pure([0.0, 1.0])
-        assert energy_variance(s, np.diag([0.0, 3.0])) == 0.0
+        assert constant_run(np.diag([0.0, 3.0]), s).energy_variance[0] == 0.0
 
     def test_variance_superposition(self):
-        assert energy_variance(equal_superposition(), np.diag([0.0, 2.0])) == pytest.approx(1.0)
+        traj = constant_run(np.diag([0.0, 2.0]), equal_superposition())
+        assert traj.energy_variance == pytest.approx(1.0)
 
     def test_variance_maximally_mixed(self):
         s = QuantumState.mixed(np.eye(2) / 2)
-        assert energy_variance(s, np.diag([0.0, 2.0])) == pytest.approx(1.0)
+        assert constant_run(np.diag([0.0, 2.0]), s).energy_variance == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mean_energy(equal_superposition(), np.eye(3))
+            constant_run(np.eye(3), equal_superposition())
 
 
 class TestGroundShift:
@@ -240,13 +249,13 @@ class TestPropagate:
             p = HamiltonianProtocol(
                 lambda t: (v * (t - tau / 2) / 2) * SZ + (gap / 2) * SX, tau, label="lz"
             )
-            ground = eigensystem(p.matrix(0.0)).eigenvectors[:, 0]
+            ground = np.linalg.eigh(p.matrix(0.0))[1][:, 0]
             return propagate(p, QuantumState.pure(ground), steps)
 
         coarse = make(2048)
         fine = make(2048 * 16)
         h_final = coarse.protocol.matrix(tau)
-        excited = eigensystem(h_final).eigenvectors[:, 1]
+        excited = np.linalg.eigh(h_final)[1][:, 1]
         pop_coarse = abs(np.vdot(excited, coarse.states[-1])) ** 2
         pop_fine = abs(np.vdot(excited, fine.states[-1])) ** 2
         assert abs(pop_coarse - pop_fine) < 1e-6
