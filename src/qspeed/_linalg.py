@@ -45,9 +45,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
 
 
-def eigh_checked(h: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix"):
+def eigh_checked(h: np.ndarray, what: str = "matrix"):
     """Ascending eigendecomposition after a Hermiticity check."""
-    require_hermitian(h, tol, what)
+    require_hermitian(h, what=what)
     return np.linalg.eigh(h)
 
 

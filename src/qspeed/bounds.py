@@ -160,7 +160,6 @@ class QSLReport:
     slack_ml_quad: float
     slack_ml_lin: float
     hbar: float
-    ml_mode: str = "linear"
 
     @property
     def slack_min(self) -> float:
@@ -232,7 +231,6 @@ def build_report(
         slack_ml_quad=_slack(tau, t_mq),
         slack_ml_lin=_slack(tau, t_ml),
         hbar=hb,
-        ml_mode=mode,
     )
     if t_mq > t_ml + 1e-12:
         raise BoundViolation(

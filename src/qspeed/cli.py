@@ -12,6 +12,7 @@ audit violation (so CI can tell falsification from misconfiguration).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -22,11 +23,10 @@ from typing import Any
 import numpy as np
 
 from . import __version__, _linalg, bounds, geometry, qdyn, verify
-from .errors import BadConfig, BoundViolation, QspeedError
+from .errors import BadConfig, QspeedError
 
 __all__ = [
     "ProtocolConfig",
-    "SweepSpec",
     "build_protocol",
     "initial_state",
     "run_pipeline",
@@ -65,19 +65,19 @@ EXIT_VIOLATION = 4
 
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
-    """Validated run configuration."""
+    """Validated run configuration; ``from_dict`` fills in the defaults."""
 
     kind: str
     dim: int
     duration: float
     params: dict
     initial_state: Any
-    hbar: float = 1.0
-    steps: int = 2048
-    ground_shift_mode: str = "instantaneous"
-    ml_mode: str = "linear"
-    audit_tolerance: float = 1e-6
-    label: str = ""
+    hbar: float
+    steps: int
+    ground_shift_mode: str
+    ml_mode: str
+    audit_tolerance: float
+    label: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProtocolConfig":
@@ -333,8 +333,9 @@ def _oscillator_leakage(traj: qdyn.Trajectory) -> float:
 
 
 def run_pipeline(cfg: ProtocolConfig):
-    """Ground shift, propagate, bound report, audit.  Returns (report dict,
-    bound report, audit, ok flag); a violated bound is recorded, not raised."""
+    """Ground shift, propagate, bound report, audit.  Returns (report dict, bound
+    report, audit, failed): the names of the failed checks, then "qsl_bound" if
+    the bound is violated; a violation is recorded, not raised."""
     protocol = build_protocol(cfg)
     shifted = qdyn.ground_shift(protocol, cfg.ground_shift_mode)
     state = initial_state(cfg, protocol)
@@ -378,8 +379,10 @@ def run_pipeline(cfg: ProtocolConfig):
     }
     if leakage is not None:
         doc["meta"]["leakage"] = leakage
-    ok = audit.passed and report.qsl_satisfied
-    return doc, report, audit, ok
+    failed = [c.name for c in audit.checks if not c.passed]
+    if not report.qsl_satisfied:
+        failed.append("qsl_bound")
+    return doc, report, audit, failed
 
 
 def _sanitize(obj):
@@ -393,13 +396,16 @@ def _sanitize(obj):
     return obj
 
 
-def write_json(doc: dict, path: str | None):
-    text = json.dumps(_sanitize(doc), indent=2, allow_nan=False) + "\n"
+def _write(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def write_json(doc: dict, path: str | None):
+    _write(json.dumps(_sanitize(doc), indent=2, allow_nan=False) + "\n", path)
 
 
 def _fmt(x) -> str:
@@ -410,15 +416,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def write_csv(path: str | None, header: list[str], rows: list[list]):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +427,12 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 
 def run_command(config_path: str, output: str | None = None) -> int:
     cfg = ProtocolConfig.from_dict(load_config(config_path))
-    doc, report, audit, ok = run_pipeline(cfg)
+    doc, _, _, failed = run_pipeline(cfg)
     write_json(doc, output)
-    if not ok:
-        bad = [c.name for c in audit.checks if not c.passed]
-        if not report.qsl_satisfied:
-            bad.append("qsl_bound")
-        print(f"[qspeed] violation in: {', '.join(bad)}", file=sys.stderr)
+    if failed:
+        print(f"[qspeed] violation in: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSpec:
-    """One config field swept over a list of values."""
-
-    parameter: str
-    values: list[float]
-    output: str | None = None
-
-    def __post_init__(self):
-        if not self.parameter:
-            raise BadConfig("sweep parameter path must be non-empty")
-        if not self.values:
-            raise BadConfig("sweep values must be non-empty")
 
 
 def _set_path(raw: dict, path: str, value):
@@ -480,31 +462,20 @@ SWEEP_HEADER = [
 ]
 
 
-def sweep_command(config_path: str, spec: SweepSpec) -> int:
+def sweep_command(config_path: str, parameter: str, values: list[float], output: str | None = None) -> int:
+    if not parameter:
+        raise BadConfig("sweep parameter path must be non-empty")
+    if not values:
+        raise BadConfig("sweep values must be non-empty")
     raw_base = load_config(config_path)
-    ProtocolConfig.from_dict(json.loads(json.dumps(raw_base)))  # validate base once
+    ProtocolConfig.from_dict(raw_base)  # validate base once
     rows = []
-    for value in spec.values:
-        raw = json.loads(json.dumps(raw_base))
-        _set_path(raw, spec.parameter, value)
-        cfg = ProtocolConfig.from_dict(raw)
-        _, report, audit, _ = run_pipeline(cfg)
-        rows.append(
-            [
-                float(value),
-                report.tau,
-                report.bures,
-                report.e_avg,
-                report.de_avg,
-                report.tau_mt,
-                report.tau_ml_quad,
-                report.tau_ml_lin,
-                report.tau_qsl,
-                report.slack_min,
-                audit.passed and report.qsl_satisfied,
-            ]
-        )
-    write_csv(spec.output, SWEEP_HEADER, rows)
+    for value in values:
+        raw = copy.deepcopy(raw_base)
+        _set_path(raw, parameter, value)
+        _, report, _, failed = run_pipeline(ProtocolConfig.from_dict(raw))
+        rows.append([value, *(getattr(report, name) for name in SWEEP_HEADER[1:-1]), not failed])
+    write_csv(output, SWEEP_HEADER, rows)
     return EXIT_OK
 
 
@@ -514,25 +485,26 @@ def audit_command(config_path: str, tol: float | None = None, output: str | None
         if _finite(tol, "audit_tolerance") <= 0:
             raise BadConfig("field 'audit_tolerance' invalid: must be > 0")
         cfg = replace(cfg, audit_tolerance=tol)
-    doc, report, audit, ok = run_pipeline(cfg)
+    doc, report, audit, failed = run_pipeline(cfg)
     for c in audit.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status}  {c.name:20s} worst_margin={c.worst_margin:+.3e} at t={c.worst_time:.6g}")
     for name in audit.skipped:
         print(f"skip  {name:20s} (mixed-state run)")
-    print(f"{'pass' if report.qsl_satisfied else 'FAIL'}  {'qsl_bound':20s} slack_min={report.slack_min:.6g}")
+    print(f"{'FAIL' if 'qsl_bound' in failed else 'pass'}  {'qsl_bound':20s} slack_min={report.slack_min:.6g}")
     if output is not None:
         write_json(doc, output)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def gaussian_shift_track(sigma: float) -> geometry.DistributionTrack:
     """Unit-speed translated Gaussian family on 4001 grid points, at 203
     parameter values 0.005 apart: [0, 1] padded by one step each side."""
-    # outside this range the density's squared offsets of up to 8 sigma + 1,
-    # sigma**2 or 1 / sigma**2 overflow or vanish; false for NaN too
-    if not 1e-154 <= sigma <= 1e153:
-        raise BadConfig("field 'sigma' invalid: must be a number in [1e-154, 1e153]")
+    # below 1e-154 sigma**2 vanishes; above 1e8 a 0.005 step moves the density so
+    # little that the Fisher information's central difference is rounding noise
+    # (J sigma**2 is 0.907 at sigma = 1e12 and 0 at 1e14); false for NaN too
+    if not 1e-154 <= sigma <= 1e8:
+        raise BadConfig("field 'sigma' invalid: must be a number in [1e-154, 1e8]")
     ts = (np.arange(203) - 1) * 0.005
     grid = np.linspace(-8.0 * sigma, ts[-1] + 8.0 * sigma, 4001)
 
@@ -545,9 +517,7 @@ def gaussian_shift_track(sigma: float) -> geometry.DistributionTrack:
 FISHER_HEADER = ["t", "fisher_information", "inv_sigma_sq", "wootters_velocity_sq"]
 
 
-def fisher_command(sigma: float, output: str | None = None, demo: str = "gaussian_shift") -> int:
-    if demo != "gaussian_shift":
-        raise BadConfig(f"field 'demo' invalid: unknown demo '{demo}'")
+def fisher_command(sigma: float, output: str | None = None) -> int:
     track = gaussian_shift_track(sigma)
     rows = []
     for t in track.parameter_values[1:-1]:
@@ -581,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="rerun over a list of values for one config field")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, help="dot path into the config, e.g. params.pump_rate")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
+    p_sweep.add_argument("--values", required=True, help="comma-separated numbers; integer literals stay integers")
     p_sweep.add_argument("-o", "--output", default=None)
 
     p_audit = sub.add_parser("audit", help="run and print the inequality audit")
@@ -591,10 +561,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fisher = sub.add_parser("fisher", help="translated-Gaussian Fisher information demo")
     p_fisher.add_argument("--sigma", type=float, required=True)
-    p_fisher.add_argument("--demo", default="gaussian_shift")
     p_fisher.add_argument("-o", "--output", default=None)
 
     return ap
+
+
+def _number(token: str) -> int | float:
+    """An integer literal as an int, for integer fields such as 'steps'."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -604,21 +581,16 @@ def main(argv: list[str] | None = None) -> int:
             return run_command(args.config, args.output)
         if args.verb == "sweep":
             try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
+                values = [_number(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise BadConfig(f"--values must be comma-separated numbers: {exc}") from exc
-            return sweep_command(args.config, SweepSpec(args.param, values, args.output))
+            return sweep_command(args.config, args.param, values, args.output)
         if args.verb == "audit":
             return audit_command(args.config, args.tol, args.output)
-        if args.verb == "fisher":
-            return fisher_command(args.sigma, args.output, args.demo)
-        raise BadConfig(f"unknown verb {args.verb!r}")  # pragma: no cover
+        return fisher_command(args.sigma, args.output)
     except BadConfig as exc:
         print(f"[qspeed] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BoundViolation as exc:
-        print(f"[qspeed] violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except QspeedError as exc:
         print(f"[qspeed] error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

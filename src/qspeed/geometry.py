@@ -63,12 +63,12 @@ def wootters_angle(p0: np.ndarray, p1: np.ndarray, h: float) -> float:
     """Statistical angle arccos(sum sqrt(p0 p1) h) between two sampled densities.
 
     Both densities must be finite, nonnegative and normalized (sum p h = 1
-    within 1e-8) on the same uniform grid of finite spacing ``h``.  The
-    overlap is divided by the geometric mean of the two quadrature norms,
-    which keeps it <= 1 by Cauchy-Schwarz and makes identical inputs give
-    angle 0 instead of the arccos noise floor; within the admitted
-    normalization tolerance this agrees with the plain sum to better than
-    1e-8.
+    within 1e-8) on the same uniform grid of finite spacing ``h``.  Each is
+    divided by its quadrature norm, so identical inputs give angle 0, and
+    the angle is taken from the Hellinger chord c = ||sqrt(p0 h) -
+    sqrt(p1 h)|| = 2 sin(angle / 2).  Unlike arccos of an overlap within eps
+    of 1, this resolves small angles to full relative precision, and it
+    never forms the product p0 p1, which can overflow.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -85,8 +85,9 @@ def wootters_angle(p0: np.ndarray, p1: np.ndarray, h: float) -> float:
         if not abs(total - 1.0) <= 1e-8:
             raise NotNormalized(f"{name} density sums to {total:.10f} (must be 1 within 1e-8)")
         norms.append(total)
-    overlap = float(np.sqrt(p0 * p1).sum() * h) / math.sqrt(norms[0] * norms[1])
-    return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
+    # square roots of the cell masses, which sum to 1, so nothing overflows
+    chord = float(np.linalg.norm(np.sqrt(p0 * (h / norms[0])) - np.sqrt(p1 * (h / norms[1]))))
+    return 2.0 * math.asin(chord / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +149,11 @@ class DistributionTrack:
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def index_of(self, t: float, interior: bool = True) -> int:
+    def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.parameter_values - t)))
         if abs(self.parameter_values[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ParameterOutOfRange(f"t={t:g} is not a sampled parameter value")
-        if interior and not 0 < idx < self.parameter_values.size - 1:
+        if not 0 < idx < self.parameter_values.size - 1:
             raise ParameterOutOfRange(f"t={t:g} is not interior to the sampled range")
         return idx
 

@@ -117,19 +117,6 @@ def _pointwise(name, lhs, rhs, times, tol, extra=None) -> CheckResult:
     )
 
 
-def _scalar(name, lhs, rhs, time, tol) -> CheckResult:
-    margin = float(_normalized_margins(np.array([lhs]), np.array([rhs]))[0])
-    return CheckResult(
-        name=name,
-        worst_margin=margin,
-        worst_time=float(time),
-        passed=margin >= -tol,
-        samples_checked=1,
-        lhs_at_worst=float(lhs),
-        rhs_at_worst=float(rhs),
-    )
-
-
 def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     """Run every inequality check on a trajectory.
 
@@ -190,22 +177,23 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
         checks.append(_pointwise("sin_velocity", sin_dl, cross_win / hbar, interior, tol))
         checks.append(_pointwise("phase_mean_energy", cross[1:-1], me[1:-1], interior, tol))
 
+    end = [traj.tau]
     checks.append(
-        _scalar("mt_integrated", float(ell[-1]), float(np.trapezoid(sqrt_var, dx=dt)) / hbar, traj.tau, tol)
+        _pointwise("mt_integrated", [float(ell[-1])], [float(np.trapezoid(sqrt_var, dx=dt)) / hbar], end, tol)
     )
     checks.append(
-        _scalar(
+        _pointwise(
             "ml_integrated",
-            abs(math.cos(float(ell[-1])) - 1.0),
-            float(np.trapezoid(me, dx=dt)) / hbar,
-            traj.tau,
+            [abs(math.cos(float(ell[-1])) - 1.0)],
+            [float(np.trapezoid(me, dx=dt)) / hbar],
+            end,
             tol,
         )
     )
 
     if pure:
         arg = float(np.trapezoid(init_e, dx=dt)) / hbar
-        checks.append(_scalar("overlap_cosine", abs(math.cos(arg)), float(np.abs(overlap[-1])), traj.tau, tol))
+        checks.append(_pointwise("overlap_cosine", [abs(math.cos(arg))], [float(np.abs(overlap[-1]))], end, tol))
 
     return AuditReport(
         checks=checks,

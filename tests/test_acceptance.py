@@ -52,7 +52,7 @@ from qspeed import (
     propagate,
     step_unitary,
 )
-from qspeed.cli import ProtocolConfig, SweepSpec, fisher_command, main, run_pipeline, sweep_command
+from qspeed.cli import ProtocolConfig, fisher_command, main, run_pipeline, sweep_command
 from qspeed.errors import BoundViolation
 
 CORPUS_SIZE = 500
@@ -476,7 +476,7 @@ def test_criterion_7_pump_rate_monotonicity(tmp_path):
     cfg_path = tmp_path / "osc.json"
     cfg_path.write_text(json.dumps(OSC_CONFIG))
     out = tmp_path / "gamma.csv"
-    rc = sweep_command(str(cfg_path), SweepSpec("params.pump_rate", [0.0, 0.5, 1.0, 2.0], str(out)))
+    rc = sweep_command(str(cfg_path), "params.pump_rate", [0.0, 0.5, 1.0, 2.0], str(out))
     assert rc == 0
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -519,7 +519,7 @@ def test_criterion_8_hbar_scaling(tmp_path):
     cfg_path = tmp_path / "osc.json"
     cfg_path.write_text(json.dumps(OSC_CONFIG))
     out = tmp_path / "hbar.csv"
-    assert sweep_command(str(cfg_path), SweepSpec("hbar", [0.5, 1.0, 2.0], str(out))) == 0
+    assert sweep_command(str(cfg_path), "hbar", [0.5, 1.0, 2.0], str(out)) == 0
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import qspeed
+import qspeed.cli
 
 PUBLIC = [
     "AuditReport",
@@ -37,6 +38,19 @@ PUBLIC = [
     "wootters_angle",
 ]
 
+CLI = [
+    "ProtocolConfig",
+    "audit_command",
+    "build_protocol",
+    "fisher_command",
+    "gaussian_shift_track",
+    "initial_state",
+    "main",
+    "run_command",
+    "run_pipeline",
+    "sweep_command",
+]
+
 # per-state or per-index copies of what propagate and the audit compute
 DELETED = [
     "mean_energy",
@@ -52,6 +66,12 @@ DELETED = [
 
 def test_public_names():
     assert sorted(qspeed.__all__) == PUBLIC
+
+
+def test_cli_names():
+    assert sorted(qspeed.cli.__all__) == CLI
+    # sweep_command takes the config field and values directly
+    assert not hasattr(qspeed.cli, "SweepSpec")
 
 
 @pytest.mark.parametrize("module", ["qspeed", "qspeed.qdyn", "qspeed.geometry", "qspeed.bounds", "qspeed.verify", "qspeed.cli"])

@@ -10,7 +10,6 @@ import pytest
 from qspeed import QuantumState, ground_shift, propagate
 from qspeed.cli import (
     ProtocolConfig,
-    SweepSpec,
     _oscillator_leakage,
     _sanitize,
     build_protocol,
@@ -433,6 +432,26 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, OSC)
         assert main(["sweep", cfg, "--param", "hbar", "--values", "1,x"]) == 2
 
+    @pytest.mark.parametrize("param, values", [("", "1,2"), ("hbar", ","), ("hbar", " ")], ids=["param", "values", "blank"])
+    def test_empty_param_or_values_exit_2(self, tmp_path, param, values):
+        cfg = write_config(tmp_path, OSC)
+        assert main(["sweep", cfg, "--param", param, "--values", values]) == 2
+
+    def test_integer_field_sweep(self, tmp_path):
+        # a step-count convergence sweep: integer literals reach 'steps' as
+        # ints, and float fields such as 'duration' take them as floats
+        cfg = write_config(tmp_path, {**BENCH, "steps": 64})
+        out = tmp_path / "steps.csv"
+        assert main(["sweep", cfg, "--param", "steps", "--values", "16,32", "-o", str(out)]) == 0
+        header, rows = csv_rows(out)
+        assert [r[0] for r in rows] == ["16", "32"]
+        for row in rows:
+            assert float(row[header.index("bures")]) == pytest.approx(math.pi / 2, abs=1e-6)
+        ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
+        assert main(["sweep", cfg, "--param", "duration", "--values", "1,2", "-o", str(ints)]) == 0
+        assert main(["sweep", cfg, "--param", "duration", "--values", "1.0,2.0", "-o", str(floats)]) == 0
+        assert ints.read_bytes() == floats.read_bytes()
+
     def test_duration_sweep_demonstrates_speed_limit(self, tmp_path):
         # reaching angle pi/2 under diag(0, 1) from the equal superposition
         # needs tau >= pi; shorter runs top out at L = tau / 2 exactly
@@ -452,14 +471,29 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_rows_match_single_runs(self, tmp_path):
-        cfg_doc = {**OSC, "steps": 256}
+        # a Landau-Zener run at gap 0.5 passes at this tolerance; at gap 2 it
+        # needs more than its duration by the linear mean-energy bound
+        cfg_doc = {
+            "kind": "landau_zener",
+            "dim": 2,
+            "duration": 4.0,
+            "steps": 256,
+            "params": {"sweep_rate": 2.0, "gap": 0.5},
+            "initial_state": "ground",
+            "audit_tolerance": 0.1,
+        }
         cfg = write_config(tmp_path, cfg_doc)
         out = tmp_path / "sweep.csv"
-        sweep_command(cfg, SweepSpec("params.pump_rate", [0.5], str(out)))
+        assert sweep_command(cfg, "params.gap", [0.5, 2.0], str(out)) == 0
         header, rows = csv_rows(out)
-        single = ProtocolConfig.from_dict({**cfg_doc, "params": {**cfg_doc["params"], "pump_rate": 0.5}})
-        _, report, _, _ = run_pipeline(single)
-        assert float(rows[0][header.index("e_avg")]) == pytest.approx(report.e_avg, rel=1e-15)
+        assert [row[-1] for row in rows] == ["true", "false"]
+        for gap, row in zip([0.5, 2.0], rows):
+            single = ProtocolConfig.from_dict({**cfg_doc, "params": {**cfg_doc["params"], "gap": gap}})
+            _, report, _, failed = run_pipeline(single)
+            assert float(row[0]) == gap
+            for name, cell in zip(header[1:-1], row[1:-1]):
+                assert float(cell) == getattr(report, name), name
+            assert row[-1] == ("false" if failed else "true")
 
 
 class TestAuditCommand:
@@ -497,8 +531,9 @@ class TestFisherCommand:
         assert main(["fisher", "--sigma", "-1"]) == 2
 
     # 1e200 and 1e-320 over- and underflow sigma**2; 1e154 overflows the
-    # squared offsets of the density's 8-sigma grid
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "1e200", "1e-320", "1e154"])
+    # squared offsets of the density's 8-sigma grid; 1e9 is past the widest
+    # Gaussian that the 0.005 parameter step resolves
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "1e200", "1e-320", "1e154", "1e9"])
     def test_unusable_sigma_exit_2_names_sigma(self, capsys, sigma):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -511,5 +546,13 @@ class TestFisherCommand:
         assert main(["fisher", "--sigma", "1e-3"]) == 3
         assert "density normalization off" in capsys.readouterr().err
 
-    def test_unknown_demo_exit_2(self):
-        assert main(["fisher", "--sigma", "1", "--demo", "other"]) == 2
+    @pytest.mark.parametrize("sigma", [1e6, 1e8])
+    def test_widest_sigmas_resolved(self, tmp_path, sigma):
+        # angles of ~5e-9 between neighbouring densities: the arccos route
+        # read wootters_velocity_sq * sigma**2 = 17.8 at sigma = 1e6
+        out = tmp_path / "fisher.csv"
+        assert fisher_command(sigma, str(out)) == 0
+        _, rows = csv_rows(out)
+        for row in rows:
+            assert float(row[1]) * sigma**2 == pytest.approx(1.0, abs=1e-4)
+            assert float(row[3]) * sigma**2 == pytest.approx(1.0, abs=1e-4)

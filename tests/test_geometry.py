@@ -150,6 +150,14 @@ class TestWoottersAngle:
         for mu in (0.5, 1.0, 2.0):
             angle = wootters_angle(gauss(0.0), gauss(mu), h)
             assert angle == pytest.approx(math.acos(math.exp(-(mu**2) / 8)), abs=1e-6)
+        # an angle of ~3.5e-7 to full precision: arccos of an overlap within
+        # eps of 1 gets only its first three digits right
+        angle = wootters_angle(gauss(0.0), gauss(1e-6), h)
+        assert angle == pytest.approx(2.0 * math.asin(math.sqrt(-math.expm1(-1e-12 / 8) / 2)), rel=1e-9)
+
+    def test_large_densities_do_not_overflow(self):
+        # p0 * p1 would be 1e400; the RuntimeWarning is an error in this suite
+        assert wootters_angle([1e200, 1e200], [1e200, 1e200], 5e-201) == 0.0
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
