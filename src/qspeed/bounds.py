@@ -26,8 +26,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BoundViolation, DomainError, NegativeEnergy
-from .qdyn import Trajectory
+from .errors import BoundViolation, DomainError, NegativeEnergy, NotFinite
+from .qdyn import Trajectory, require_positive
 
 __all__ = [
     "QSLReport",
@@ -76,6 +76,8 @@ def _check_angle(ell: float) -> float:
 
 
 def _check_energy(e: float, what: str) -> float:
+    if not math.isfinite(e):
+        raise NotFinite(f"{what} is {e!r}")
     if e < -1e-9 * max(1.0, abs(e)):
         raise NegativeEnergy(f"{what} is negative: {e:.3e}")
     return max(e, 0.0)
@@ -84,6 +86,9 @@ def _check_energy(e: float, what: str) -> float:
 def tau_mt(ell: float, de_avg: float, hbar: float) -> float:
     """Variance-route bound hbar L / dE_avg; +inf when dE_avg = 0 and L > 0."""
     ell = _check_angle(ell)
+    require_positive(hbar, "hbar")
+    if not math.isfinite(de_avg):
+        raise NotFinite(f"time-averaged energy spread is {de_avg!r}")
     if de_avg < 0:
         raise DomainError(f"time-averaged energy spread is negative: {de_avg:.3e}")
     if ell == 0.0:
@@ -99,10 +104,13 @@ def tau_ml_quadratic(ell: float, e_avg: float, hbar: float) -> float:
     this function implements the analytically derived one.
     """
     ell = _check_angle(ell)
+    require_positive(hbar, "hbar")
     e_avg = _check_energy(e_avg, "time-averaged mean energy")
     if ell == 0.0:
         return 0.0
-    return 4.0 * hbar * ell * ell / (math.pi**2 * e_avg) if e_avg > 0 else math.inf
+    bound = 4.0 * hbar * ell * ell / (math.pi**2 * e_avg) if e_avg > 0 else math.inf
+    # inf / inf when hbar and E_avg both pass ~1e307; the ratio itself is finite
+    return bound if bound == bound else 4.0 * ell * ell / math.pi**2 * (hbar / e_avg)
 
 
 def tau_ml_linear(ell: float, e_avg: float, hbar: float) -> float:
@@ -111,6 +119,7 @@ def tau_ml_linear(ell: float, e_avg: float, hbar: float) -> float:
     Always >= the quadratic form since L <= pi/2 implies 4 L^2 / pi^2 <= L.
     """
     ell = _check_angle(ell)
+    require_positive(hbar, "hbar")
     e_avg = _check_energy(e_avg, "time-averaged mean energy")
     if ell == 0.0:
         return 0.0
@@ -192,7 +201,6 @@ def build_report(
     traj: Trajectory,
     mode: Literal["linear", "quadratic"] = "linear",
     strict: bool = True,
-    hbar: float | None = None,
 ) -> QSLReport:
     """Assemble the speed-limit report for a trajectory.
 
@@ -202,20 +210,19 @@ def build_report(
     :class:`BoundViolation`; pass ``strict=False`` to tally violations
     instead (the report's ``qsl_satisfied`` records the outcome).
 
-    ``hbar`` overrides the trajectory's value in the bound formulas only,
-    keeping the trajectory data fixed; this is the classical-limit scaling
-    probe (every bound is proportional to hbar at fixed run data).
+    Every bound is proportional to ``traj.hbar`` at fixed run data, so
+    ``build_report(dataclasses.replace(traj, hbar=h))`` is the
+    classical-limit scaling probe.
     """
-    hb = traj.hbar if hbar is None else float(hbar)
     ell = float(traj.bures_from_initial[-1])
     if ell < ANGLE_NOISE_FLOOR:
         ell = 0.0
     e_avg = time_avg_mean_energy(traj)
     de_avg = time_avg_energy_variance(traj)
-    t_qsl = qsl_time(ell, e_avg, de_avg, hb, mode)
-    t_mt = tau_mt(ell, de_avg, hb)
-    t_mq = tau_ml_quadratic(ell, e_avg, hb)
-    t_ml = tau_ml_linear(ell, e_avg, hb)
+    t_qsl = qsl_time(ell, e_avg, de_avg, traj.hbar, mode)
+    t_mt = tau_mt(ell, de_avg, traj.hbar)
+    t_mq = tau_ml_quadratic(ell, e_avg, traj.hbar)
+    t_ml = tau_ml_linear(ell, e_avg, traj.hbar)
 
     tau = traj.tau
     report = QSLReport(
@@ -230,7 +237,7 @@ def build_report(
         slack_mt=_slack(tau, t_mt),
         slack_ml_quad=_slack(tau, t_mq),
         slack_ml_lin=_slack(tau, t_ml),
-        hbar=hb,
+        hbar=traj.hbar,
     )
     if t_mq > t_ml + 1e-12:
         raise BoundViolation(

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -120,14 +120,12 @@ class ProtocolConfig:
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise BadConfig("field 'params' has wrong type")
-        if "initial_state" not in raw:
-            raise BadConfig("missing required field 'initial_state'")
         return cls(
             kind=kind,
             dim=dim,
             duration=duration,
             params=params,
-            initial_state=raw["initial_state"],
+            initial_state=need("initial_state", object),
             hbar=hbar,
             steps=steps,
             ground_shift_mode=gsm,
@@ -371,11 +369,7 @@ def run_pipeline(cfg: ProtocolConfig):
             "ground_shift_mode": cfg.ground_shift_mode,
         },
         "qsl": report.to_dict(),
-        "audit": {
-            "checks": [c.to_dict() for c in audit.checks],
-            "tolerance": audit.tolerance,
-            "skipped": list(audit.skipped),
-        },
+        "audit": {k: v for k, v in audit.to_dict().items() if k != "trajectory_label"},
     }
     if leakage is not None:
         doc["meta"]["leakage"] = leakage
@@ -480,11 +474,10 @@ def sweep_command(config_path: str, parameter: str, values: list[float], output:
 
 
 def audit_command(config_path: str, tol: float | None = None, output: str | None = None) -> int:
-    cfg = ProtocolConfig.from_dict(load_config(config_path))
+    raw = load_config(config_path)
+    cfg = ProtocolConfig.from_dict(raw)
     if tol is not None:
-        if _finite(tol, "audit_tolerance") <= 0:
-            raise BadConfig("field 'audit_tolerance' invalid: must be > 0")
-        cfg = replace(cfg, audit_tolerance=tol)
+        cfg = ProtocolConfig.from_dict({**raw, "audit_tolerance": tol})
     doc, report, audit, failed = run_pipeline(cfg)
     for c in audit.checks:
         status = "pass" if c.passed else "FAIL"
@@ -507,11 +500,8 @@ def gaussian_shift_track(sigma: float) -> geometry.DistributionTrack:
         raise BadConfig("field 'sigma' invalid: must be a number in [1e-154, 1e8]")
     ts = (np.arange(203) - 1) * 0.005
     grid = np.linspace(-8.0 * sigma, ts[-1] + 8.0 * sigma, 4001)
-
-    def density(x, t):
-        return np.exp(-((x - t) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
-
-    return geometry.DistributionTrack.from_function(density, grid, ts)
+    dens = np.exp(-((grid - ts[:, None]) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    return geometry.DistributionTrack(grid, ts, dens)
 
 
 FISHER_HEADER = ["t", "fisher_information", "inv_sigma_sq", "wootters_velocity_sq"]

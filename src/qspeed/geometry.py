@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     NotFinite,
-    NotHermitian,
     NotNormalized,
     NotTraceless,
     ParameterOutOfRange,
@@ -59,11 +57,30 @@ def bures_length(a: QuantumState, b: QuantumState) -> float:
     return float(_linalg.bures_angle_from_fidelity(fidelity(a, b)))
 
 
+def _checked_densities(dens: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``dens`` clipped at 0, and their norms sum(p) h, after
+    checking that every entry is finite and >= -1e-12 and that every norm
+    is 1 within 1e-8."""
+    if not np.isfinite(dens).all():
+        raise NotFinite("densities have non-finite entries")
+    lowest = float(dens.min(initial=0.0))  # 0 for an empty density, which fails below
+    if not lowest >= -1e-12:
+        raise NotNormalized(f"density has negative entry {lowest:.3e}")
+    # an overflowing norm, or inf * 0 = NaN for h = 0, fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = dens.sum(axis=-1) * h
+    worst = float(np.max(np.abs(norms - 1.0)))
+    if not worst <= 1e-8:
+        raise NotNormalized(f"density normalization off by {worst:.3e} (must be within 1e-8)")
+    return np.clip(dens, 0.0, None), norms
+
+
 def wootters_angle(p0: np.ndarray, p1: np.ndarray, h: float) -> float:
     """Statistical angle arccos(sum sqrt(p0 p1) h) between two sampled densities.
 
-    Both densities must be finite, nonnegative and normalized (sum p h = 1
-    within 1e-8) on the same uniform grid of finite spacing ``h``.  Each is
+    Both densities must be finite, nonnegative (a negative entry below
+    -1e-12 raises :class:`NotNormalized`) and normalized (sum p h = 1 within
+    1e-8) on the same uniform grid of finite spacing ``h``.  Each is
     divided by its quadrature norm, so identical inputs give angle 0, and
     the angle is taken from the Hellinger chord c = ||sqrt(p0 h) -
     sqrt(p1 h)|| = 2 sin(angle / 2).  Unlike arccos of an overlap within eps
@@ -76,17 +93,9 @@ def wootters_angle(p0: np.ndarray, p1: np.ndarray, h: float) -> float:
         raise GridMismatch(f"density lengths differ: {p0.shape} vs {p1.shape}")
     if not math.isfinite(h):
         raise NotFinite(f"grid spacing h is {h}")
-    norms = []
-    for name, p in (("first", p0), ("second", p1)):
-        if not np.isfinite(p).all():
-            raise NotFinite(f"{name} density has non-finite entries")
-        with np.errstate(over="ignore"):  # an overflowing total fails below
-            total = float(p.sum() * h)
-        if not abs(total - 1.0) <= 1e-8:
-            raise NotNormalized(f"{name} density sums to {total:.10f} (must be 1 within 1e-8)")
-        norms.append(total)
+    (q0, q1), (n0, n1) = _checked_densities(np.stack([p0, p1]).reshape(2, -1), h)
     # square roots of the cell masses, which sum to 1, so nothing overflows
-    chord = float(np.linalg.norm(np.sqrt(p0 * (h / norms[0])) - np.sqrt(p1 * (h / norms[1]))))
+    chord = float(np.linalg.norm(np.sqrt(q0 * (h / n0)) - np.sqrt(q1 * (h / n1))))
     return 2.0 * math.asin(chord / 2.0)
 
 
@@ -107,7 +116,7 @@ class DistributionTrack:
         grid = np.asarray(self.grid, dtype=float)
         ts = np.asarray(self.parameter_values, dtype=float)
         dens = np.asarray(self.densities, dtype=float)
-        for name, arr in (("grid", grid), ("parameter_values", ts), ("densities", dens)):
+        for name, arr in (("grid", grid), ("parameter_values", ts)):
             if not np.isfinite(arr).all():
                 raise NotFinite(f"{name} has non-finite entries")
         if grid.ndim != 1 or grid.size < 2:
@@ -121,29 +130,9 @@ class DistributionTrack:
             raise GridMismatch("grid spacing must be uniform")
         if dens.shape != (ts.size, grid.size):
             raise GridMismatch(f"densities shape {dens.shape} does not match ({ts.size}, {grid.size})")
-        # both checks are written to fail on NaN as well
-        if not float(dens.min()) >= -1e-12:
-            raise NotNormalized(f"density has negative entry {dens.min():.3e}")
-        with np.errstate(over="ignore"):  # an overflowing norm fails below
-            norms = dens.sum(axis=1) * spacings[0]
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if not worst <= 1e-8:
-            raise NotNormalized(f"density normalization off by {worst:.3e} (must be within 1e-8)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "parameter_values", ts)
-        object.__setattr__(self, "densities", np.clip(dens, 0.0, None))
-
-    @classmethod
-    def from_function(
-        cls,
-        density: Callable[[np.ndarray, float], np.ndarray],
-        grid: np.ndarray,
-        parameter_values: np.ndarray,
-    ) -> "DistributionTrack":
-        grid = np.asarray(grid, dtype=float)
-        ts = np.asarray(parameter_values, dtype=float)
-        dens = np.stack([np.asarray(density(grid, float(t)), dtype=float) for t in ts])
-        return cls(grid=grid, parameter_values=ts, densities=dens)
+        object.__setattr__(self, "densities", _checked_densities(dens, spacings[0])[0])
 
     @property
     def spacing(self) -> float:
@@ -206,11 +195,8 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
         raise DimensionMismatch(f"drho shape {drho.shape} does not match dim {rho.dim}")
     if not np.isfinite(drho).all():
         raise NotFinite("drho has non-finite entries")
-    dev = _linalg.hermitian_deviation(drho)
     scale = max(1.0, float(np.max(np.abs(drho))))
-    # both checks are written to fail on NaN as well
-    if not dev <= 1e-9 * scale:
-        raise NotHermitian(f"drho deviates from Hermiticity by {dev:.3e}")
+    _linalg.require_hermitian(drho, 1e-9 * scale, "drho")
     tr = complex(np.trace(drho))
     if not abs(tr) <= 1e-9 * scale:
         raise NotTraceless(f"drho has trace {tr:.3e} (must vanish within 1e-9)")

@@ -121,6 +121,12 @@ def validate_state(s: QuantumState) -> QuantumState:
     return QuantumState("mixed", s.dim, matrix=_linalg.symmetrize(rho))
 
 
+def require_positive(value: float, name: str):
+    """:class:`DomainError` unless ``value`` is a finite number > 0 (not NaN)."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be a finite number > 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianProtocol:
     """A driving protocol: t -> H(t) on [0, duration], with hbar attached.
@@ -141,9 +147,7 @@ class HamiltonianProtocol:
 
     def __post_init__(self):
         for name in ("duration", "hbar"):
-            # false for NaN and infinities too
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
+            require_positive(getattr(self, name), name)
         if self.stack is not None:
             object.__setattr__(self, "evaluator", self.matrix)
         elif self.evaluator is None:
@@ -306,8 +310,10 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     variance, Bures angle from the start, and for pure runs the complex
     overlap with the initial state) are computed from the H(t) stack at the
     N+1 samples, which the trajectory keeps.  A non-finite H(t), variance
-    or purity raises :class:`NotFinite`.
+    or purity raises :class:`NotFinite`, a non-integer ``steps`` :class:`DomainError`.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise DomainError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
     if s0.dim != p.dim:

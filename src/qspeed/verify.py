@@ -96,13 +96,9 @@ class AuditReport:
         }
 
 
-def _normalized_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return (rhs - lhs) / scale
-
-
 def _pointwise(name, lhs, rhs, times, tol, extra=None) -> CheckResult:
-    margins = _normalized_margins(np.asarray(lhs, float), np.asarray(rhs, float))
+    lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
+    margins = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return CheckResult(
@@ -111,8 +107,8 @@ def _pointwise(name, lhs, rhs, times, tol, extra=None) -> CheckResult:
         worst_time=float(times[i]),
         passed=worst >= -tol,
         samples_checked=int(margins.size),
-        lhs_at_worst=float(np.asarray(lhs, float)[i]),
-        rhs_at_worst=float(np.asarray(rhs, float)[i]),
+        lhs_at_worst=float(lhs[i]),
+        rhs_at_worst=float(rhs[i]),
         extra=extra or {},
     )
 
@@ -126,7 +122,10 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     integrated checks use the trapezoid rule on the run grid, and H(t) is
     read from ``traj.h_samples``.  The trajectory must come from a
     ground-shifted protocol for the mean-energy checks to be meaningful.
+    ``tol`` must be a finite number >= 0, else :class:`DomainError`.
     """
+    if not 0.0 <= tol < math.inf:  # false for NaN too; 0 is an exact check
+        raise DomainError(f"audit tolerance must be a finite number >= 0, got {tol}")
     n = traj.n_samples
     if n < MIN_SAMPLES:
         raise TooFewSamples(f"audit needs at least {MIN_SAMPLES} samples, got {n}")
@@ -207,10 +206,10 @@ def check_trig_bound(x):
     """|cos x - 1| - (4/pi^2) x^2 on [0, pi/2]; nonnegative, zero at both ends.
 
     Accepts a scalar or an array; raises :class:`DomainError` outside the
-    interval.
+    interval or on NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > math.pi / 2 + 1e-12):
+    if not np.all((-1e-12 <= arr) & (arr <= math.pi / 2 + 1e-12)):
         raise DomainError(f"argument outside [0, pi/2]: {x!r}")
     val = np.abs(np.cos(arr) - 1.0) - (4.0 / math.pi**2) * arr**2
     return float(val) if np.isscalar(x) or arr.ndim == 0 else val

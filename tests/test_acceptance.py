@@ -28,7 +28,7 @@ the measured violation rates, which means three things:
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -502,10 +502,10 @@ def test_criterion_7_pump_rate_monotonicity(tmp_path):
 def test_criterion_8_hbar_scaling(tmp_path):
     # formula level: frozen trajectory, hbar swept in the bound evaluation
     traj = propagate(ground_shift(two_level_protocol()), equal_superposition(), 2048)
-    base = build_report(traj, strict=False, hbar=1.0)
+    base = build_report(replace(traj, hbar=1.0), strict=False)
     worst = 0.0
     for hb in (0.5, 1.0, 2.0):
-        rep = build_report(traj, strict=False, hbar=hb)
+        rep = build_report(replace(traj, hbar=hb), strict=False)
         for a, b in (
             (rep.tau_mt, base.tau_mt),
             (rep.tau_ml_quad, base.tau_ml_quad),

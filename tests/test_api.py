@@ -1,6 +1,7 @@
 """The public API: exactly the names the pipeline and its consumers use."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -86,6 +87,13 @@ def test_deleted_helper_not_importable(name):
     assert not hasattr(qspeed, name)
     with pytest.raises(ImportError):
         exec(f"from qspeed import {name}", {})
+
+
+def test_single_path_signatures():
+    # the hbar probe is build_report(dataclasses.replace(traj, hbar=h)), and
+    # a track is built from its density table
+    assert list(inspect.signature(qspeed.build_report).parameters) == ["traj", "mode", "strict"]
+    assert not hasattr(qspeed.DistributionTrack, "from_function")
 
 
 def test_deleted_error_classes():

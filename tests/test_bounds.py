@@ -1,6 +1,7 @@
 """Time-averaged energies, the three bound formulas, and report assembly."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qspeed import (
     time_avg_energy_variance,
     time_avg_mean_energy,
 )
-from qspeed.errors import BoundViolation, DomainError, NegativeEnergy
+from qspeed.errors import BoundViolation, DomainError, NegativeEnergy, NotFinite
 
 
 def skewed_two_level_run(p_ground=0.75, steps=2048):
@@ -121,6 +122,25 @@ class TestBoundFormulas:
     def test_qsl_variance_branch_dominates(self):
         assert qsl_time(0.5, 10.0, 0.1, 1.0) == pytest.approx(tau_mt(0.5, 0.1, 1.0))
 
+    @pytest.mark.parametrize("formula", [tau_mt, tau_ml_linear, tau_ml_quadratic])
+    def test_nan_energy_is_not_finite(self, formula):
+        with pytest.raises(NotFinite):
+            formula(0.5, math.nan, 1.0)
+
+    def test_infinite_spread_is_not_finite(self):
+        with pytest.raises(NotFinite):
+            tau_mt(0.5, math.inf, 1.0)
+
+    @pytest.mark.parametrize("hbar", [math.nan, -1.0, 0.0, math.inf])
+    def test_hbar_must_be_finite_positive(self, hbar):
+        for formula in (tau_mt, tau_ml_linear, tau_ml_quadratic):
+            with pytest.raises(DomainError, match="hbar"):
+                formula(0.5, 1.0, hbar)
+
+    def test_quadratic_bound_finite_when_both_products_overflow(self):
+        # 4 hbar L^2 and pi^2 E_avg both overflow; their ratio is 4 / pi^2
+        assert tau_ml_quadratic(1.0, 1e308, 1e308) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
+
     def test_qsl_linear_in_hbar(self):
         base = qsl_time(0.7, 1.3, 0.9, 1.0)
         assert qsl_time(0.7, 1.3, 0.9, 2.0) == pytest.approx(2.0 * base, rel=1e-12)
@@ -172,10 +192,14 @@ class TestBuildReport:
     def test_hbar_override_scales_bounds_linearly(self, saturating_run):
         base = build_report(saturating_run)
         for hb in (0.5, 2.0, 3.0):
-            scaled = build_report(saturating_run, hbar=hb, strict=False)
+            scaled = build_report(replace(saturating_run, hbar=hb), strict=False)
             assert scaled.tau_mt == pytest.approx(hb * base.tau_mt, rel=1e-12)
             assert scaled.tau_ml_quad == pytest.approx(hb * base.tau_ml_quad, rel=1e-12)
             assert scaled.tau_ml_lin == pytest.approx(hb * base.tau_ml_lin, rel=1e-12)
+
+    def test_negative_hbar_is_a_domain_error(self, saturating_run):
+        with pytest.raises(DomainError, match="hbar"):
+            build_report(replace(saturating_run, hbar=-1.0), strict=False)
 
     def test_report_serialization_keys(self, saturating_run):
         doc = build_report(saturating_run).to_dict()

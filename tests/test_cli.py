@@ -14,6 +14,7 @@ from qspeed.cli import (
     _sanitize,
     build_protocol,
     fisher_command,
+    gaussian_shift_track,
     initial_state,
     main,
     run_pipeline,
@@ -514,6 +515,21 @@ class TestAuditCommand:
         assert main(["audit", cfg, f"--tol={tol}"]) == 2
         assert "'audit_tolerance'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", [-1, 0])
+    def test_flag_and_config_tolerance_share_one_message(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, {**BENCH, "steps": 16})
+        assert main(["audit", cfg, f"--tol={tol}"]) == 2
+        from_flag = capsys.readouterr().err
+        cfg = write_config(tmp_path, {**BENCH, "steps": 16, "audit_tolerance": tol})
+        assert main(["audit", cfg]) == 2
+        assert capsys.readouterr().err == from_flag
+
+    @pytest.mark.parametrize("state", ["equal_superposition", {"matrix": [[0.7, 0.1], [0.1, 0.3]]}])
+    def test_audit_writes_the_run_report(self, tmp_path, state):
+        cfg = write_config(tmp_path, {**BENCH, "steps": 64, "initial_state": state})
+        assert main(["audit", cfg, "-o", str(tmp_path / "a.json")]) == main(["run", cfg, "-o", str(tmp_path / "r.json")])
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+
 
 class TestFisherCommand:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -526,6 +542,15 @@ class TestFisherCommand:
             j, ref, wv2 = float(row[1]), float(row[2]), float(row[3])
             assert j == pytest.approx(ref, rel=1e-3)
             assert wv2 == pytest.approx(j, rel=1e-2)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1e6])
+    def test_track_is_the_per_row_formula(self, sigma):
+        # one broadcast builds the table; each row keeps the bits of the per-t density
+        track = gaussian_shift_track(sigma)
+        x = track.grid
+        for i, t in enumerate(track.parameter_values):
+            row = np.exp(-((x - float(t)) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+            assert np.array_equal(track.densities[i], row)
 
     def test_bad_sigma_exit_2(self):
         assert main(["fisher", "--sigma", "-1"]) == 2

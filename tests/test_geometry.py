@@ -45,11 +45,8 @@ def gaussian_track(sigma, n_params=121, step=0.005, grid_points=3001, speed=1.0)
     lo = min(0.0, speed * ts[0]) - 8.0 * sigma
     hi = max(0.0, speed * ts[-1]) + 8.0 * sigma
     grid = np.linspace(lo, hi, grid_points)
-
-    def density(x, t):
-        return np.exp(-((x - speed * t) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
-
-    return DistributionTrack.from_function(density, grid, ts)
+    dens = np.exp(-((grid - speed * ts[:, None]) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
+    return DistributionTrack(grid, ts, dens)
 
 
 class TestFidelity:
@@ -163,11 +160,18 @@ class TestWoottersAngle:
         with pytest.raises(GridMismatch):
             wootters_angle(np.ones(4) / 4, np.ones(5) / 5, 1.0)
 
+    def test_rejects_negative_entry(self):
+        # normalized, but sqrt of the negative cell mass would be NaN
+        with pytest.raises(NotNormalized, match="negative entry -5.000e-01"):
+            wootters_angle([1.5, -0.5], [0.5, 0.5], 1.0)
+
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             wootters_angle(np.ones(4), np.ones(4) / 4, 1.0)
         with pytest.raises(NotNormalized):
             wootters_angle([1.7e308, 1.7e308], [0.5, 0.5], 1.0)  # the sum overflows
+        with pytest.raises(NotNormalized):
+            wootters_angle([1.7e308, 1.7e308], [0.5, 0.5], 0.0)  # and inf * 0 is NaN
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):

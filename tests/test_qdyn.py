@@ -320,6 +320,15 @@ class TestPropagate:
         with pytest.raises(StepCountTooSmall):
             propagate(two_level_protocol(), equal_superposition(), 1)
 
+    @pytest.mark.parametrize("steps", [64.9, math.nan, math.inf, "64", True])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(DomainError, match="steps"):
+            propagate(two_level_protocol(), equal_superposition(), steps)
+
+    def test_numpy_integer_steps(self):
+        traj = propagate(two_level_protocol(), equal_superposition(), np.int64(64))
+        assert traj.n_samples == 65
+
     def test_step_unitary_is_unitary(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -43,6 +43,12 @@ class TestTrigBound:
         assert float(vals.min()) >= 0.0
         assert float(vals.min()) > 0.0  # equality only at the endpoints
 
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            check_trig_bound(math.nan)
+        with pytest.raises(DomainError):
+            check_trig_bound(np.array([0.5, math.nan]))
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             check_trig_bound(2.0)
@@ -162,6 +168,17 @@ class TestAuditTrajectory:
         traj = propagate(ground_shift(two_level_protocol()), QuantumState.pure([1.0, 0.0]), 8)
         with pytest.raises(TooFewSamples):
             audit_trajectory(traj)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
+    def test_tolerance_must_be_finite_nonnegative(self, saturating_run, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            audit_trajectory(saturating_run, tol)
+
+    def test_zero_tolerance_is_an_exact_check(self, saturating_run):
+        report = audit_trajectory(saturating_run, 0.0)
+        assert report.tolerance == 0.0
+        for c in report.checks:
+            assert c.passed == (c.worst_margin >= 0.0)
 
     def test_report_serialization(self, saturating_run):
         doc = audit_trajectory(saturating_run).to_dict()
