@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, _linalg, bounds, geometry, qdyn, verify
-from .errors import BadConfig, QspeedError
+from .errors import BadConfig, DomainError, QspeedError
 
 __all__ = [
     "ProtocolConfig",
@@ -48,10 +48,6 @@ PROTOCOL_KINDS = (
 )
 
 LEAKAGE_LIMIT = 1e-6
-# a run holds a few (samples, dim, dim) complex arrays, with at least the
-# samples of the global-shift scan; a config whose array would pass this
-# size exits 2 instead of failing to allocate
-MAX_ARRAY_BYTES = 2**32
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,9 +103,11 @@ class ProtocolConfig:
         steps = raw.get("steps", 2048)
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
-        if max(steps + 1, qdyn.GLOBAL_SCAN_SAMPLES) * dim * dim * 16 > MAX_ARRAY_BYTES:
-            too_big = f"a (steps + 1, dim, dim) complex array exceeds {MAX_ARRAY_BYTES >> 30} GiB"
-            raise BadConfig(f"fields 'steps' and 'dim' invalid: {too_big}")
+        # the global-shift scan samples the grid too, so it sets the floor
+        try:
+            qdyn.require_grid_fits(max(steps + 1, qdyn.GLOBAL_SCAN_SAMPLES), dim)
+        except DomainError as exc:
+            raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
         gsm = raw.get("ground_shift_mode", "instantaneous")
         if gsm not in ("instantaneous", "global"):
             raise BadConfig("field 'ground_shift_mode' invalid: must be 'instantaneous' or 'global'")

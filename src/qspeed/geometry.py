@@ -128,6 +128,8 @@ class DistributionTrack:
             raise NotFinite("grid spacing overflows a float")
         if np.max(np.abs(spacings - spacings[0])) > 1e-9 * abs(spacings[0]):
             raise GridMismatch("grid spacing must be uniform")
+        if ts.size == 0:
+            raise GridMismatch("parameter_values is empty")
         if dens.shape != (ts.size, grid.size):
             raise GridMismatch(f"densities shape {dens.shape} does not match ({ts.size}, {grid.size})")
         object.__setattr__(self, "grid", grid)

@@ -39,6 +39,9 @@ __all__ = [
 
 NORM_TOL = 1e-6
 GLOBAL_SCAN_SAMPLES = 1025
+# a run holds a few (samples, dim, dim) complex arrays; a larger grid is
+# refused before anything is allocated
+MAX_ARRAY_BYTES = 2**32
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +122,12 @@ def validate_state(s: QuantumState) -> QuantumState:
     w = _linalg.clamped_nonneg(w, "density matrix")
     rho = (v * (w / w.sum())) @ v.conj().T
     return QuantumState("mixed", s.dim, matrix=_linalg.symmetrize(rho))
+
+
+def require_grid_fits(samples: int, dim: int):
+    """:class:`DomainError` if a (samples, dim, dim) complex array would pass ``MAX_ARRAY_BYTES``."""
+    if samples * dim * dim * 16 > MAX_ARRAY_BYTES:
+        raise DomainError(f"a (steps + 1, dim, dim) complex array exceeds {MAX_ARRAY_BYTES >> 30} GiB")
 
 
 def require_positive(value: float, name: str):
@@ -310,17 +319,20 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     variance, Bures angle from the start, and for pure runs the complex
     overlap with the initial state) are computed from the H(t) stack at the
     N+1 samples, which the trajectory keeps.  A non-finite H(t), variance
-    or purity raises :class:`NotFinite`, a non-integer ``steps`` :class:`DomainError`.
+    or purity raises :class:`NotFinite`; a non-integer ``steps``, or one whose
+    (steps + 1, dim, dim) array would pass ``MAX_ARRAY_BYTES``,
+    :class:`DomainError`.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
+    n = int(steps)
+    require_grid_fits(n + 1, p.dim)
     if s0.dim != p.dim:
         raise DimensionMismatch(f"state dim {s0.dim} != protocol dim {p.dim}")
     s0 = validate_state(s0)
 
-    n = int(steps)
     times = np.linspace(0.0, p.duration, n + 1)
     dt = p.duration / n
     d = p.dim

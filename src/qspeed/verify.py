@@ -31,7 +31,6 @@ from .qdyn import Trajectory
 __all__ = [
     "CheckResult",
     "AuditReport",
-    "PURE_ONLY_CHECKS",
     "audit_trajectory",
     "check_trig_bound",
 ]
@@ -203,7 +202,10 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
 
 
 def check_trig_bound(x):
-    """|cos x - 1| - (4/pi^2) x^2 on [0, pi/2]; nonnegative, zero at both ends.
+    """|cos x - 1| - (4/pi^2) x^2 on [0, pi/2]; zero at both ends.
+
+    Nonnegative up to rounding, never below -eps = -2.2e-16: it is -4.05e-17
+    at x = 1e-8, where cos x rounds to 1, and -1.11e-16 at x = pi/2.
 
     Accepts a scalar or an array; raises :class:`DomainError` outside the
     interval or on NaN.

@@ -7,6 +7,7 @@ import pytest
 
 import qspeed
 import qspeed.cli
+from qspeed import bounds, geometry, qdyn, verify
 
 PUBLIC = [
     "AuditReport",
@@ -67,6 +68,20 @@ DELETED = [
 
 def test_public_names():
     assert sorted(qspeed.__all__) == PUBLIC
+
+
+def test_each_public_name_is_listed_once_in_its_module():
+    listed = ["__version__", "errors", *qdyn.__all__, *geometry.__all__, *bounds.__all__, *verify.__all__]
+    assert qspeed.__all__ == listed
+    assert len(set(listed)) == len(listed)
+
+
+@pytest.mark.parametrize("module", [qdyn, geometry, bounds, verify], ids=lambda m: m.__name__)
+def test_exported_definitions_live_in_their_module(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
 
 
 def test_cli_names():

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from qspeed.cli import (
     sweep_command,
 )
 from qspeed.errors import BadConfig, NotHermitian
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BENCH = {
     "kind": "constant",
@@ -396,6 +403,17 @@ class TestRunCommand:
         assert main(["run", cfg, "-o", str(out1)]) == 0
         assert main(["run", cfg, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_module_entry_point_matches_in_process_run(self, tmp_path, capsys):
+        """``python -m qspeed`` imports cleanly under -W error and writes the same report."""
+        cfg = write_config(tmp_path, BENCH)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-m", "qspeed", "run", cfg]
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert re.fullmatch(rb"\[qspeed\] bench: computed in [0-9.]+ ms\n", done.stderr)
+        assert main(["run", cfg]) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
 
 
 class TestSweepCommand:

@@ -202,6 +202,10 @@ class TestDistributionTrack:
         with pytest.raises(NotNormalized):
             DistributionTrack(np.array([0.0, 1.0]), np.array([0.0]), np.array([[1.7e308, 1.7e308]]))
 
+    def test_empty_family_is_a_grid_mismatch(self):
+        with pytest.raises(GridMismatch, match="parameter_values"):
+            DistributionTrack(np.linspace(0.0, 1.0, 3), np.array([]), np.zeros((0, 3)))
+
 
 class TestFisherInformation:
     def test_inverse_width_sigma_2(self):

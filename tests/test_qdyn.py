@@ -325,6 +325,14 @@ class TestPropagate:
         with pytest.raises(DomainError, match="steps"):
             propagate(two_level_protocol(), equal_superposition(), steps)
 
+    def test_oversized_grid_refused_before_any_h_evaluation(self):
+        def stack(ts):
+            raise AssertionError("H(t) evaluated for an oversized grid")
+
+        p = HamiltonianProtocol(None, 1.0, dim=2, stack=stack)
+        with pytest.raises(DomainError, match="GiB"):
+            propagate(p, equal_superposition(), 10**9)
+
     def test_numpy_integer_steps(self):
         traj = propagate(two_level_protocol(), equal_superposition(), np.int64(64))
         assert traj.n_samples == 65

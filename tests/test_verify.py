@@ -43,6 +43,11 @@ class TestTrigBound:
         assert float(vals.min()) >= 0.0
         assert float(vals.min()) > 0.0  # equality only at the endpoints
 
+    def test_rounding_floor_near_the_ends(self):
+        """Where cos x rounds to 1 or x = pi/2, the value sits within eps of 0."""
+        xs = np.concatenate([np.linspace(0.0, math.pi / 2, 10**6), [1e-8, 1e-6]])
+        assert float(check_trig_bound(xs).min()) >= -np.finfo(float).eps
+
     def test_nan_is_a_domain_error(self):
         with pytest.raises(DomainError):
             check_trig_bound(math.nan)
