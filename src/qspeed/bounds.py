@@ -42,6 +42,9 @@ __all__ = [
 
 HALF_PI = math.pi / 2
 
+# the report's scalar keys, in report order; sweeps write the same columns
+REPORT_SCALARS = ("tau", "bures", "e_avg", "de_avg", "tau_mt", "tau_ml_quad", "tau_ml_lin", "tau_qsl")
+
 # Endpoint angles below the fidelity-route noise floor mean no net motion;
 # without this a stationary run with zero energy spread would report a
 # spurious infinite bound from pure rounding noise.
@@ -180,21 +183,9 @@ class QSLReport:
         return self.tau >= self.tau_qsl - 1e-6 * self.tau
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "bures": self.bures,
-            "e_avg": self.e_avg,
-            "de_avg": self.de_avg,
-            "tau_mt": self.tau_mt,
-            "tau_ml_quad": self.tau_ml_quad,
-            "tau_ml_lin": self.tau_ml_lin,
-            "tau_qsl": self.tau_qsl,
-            "slacks": {
-                "mt": self.slack_mt,
-                "ml_quad": self.slack_ml_quad,
-                "ml_lin": self.slack_ml_lin,
-            },
-        }
+        out = {name: getattr(self, name) for name in REPORT_SCALARS}
+        out["slacks"] = {"mt": self.slack_mt, "ml_quad": self.slack_ml_quad, "ml_lin": self.slack_ml_lin}
+        return out
 
 
 def build_report(

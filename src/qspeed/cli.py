@@ -103,14 +103,15 @@ class ProtocolConfig:
         steps = raw.get("steps", 2048)
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
-        # the global-shift scan samples the grid too, so it sets the floor
-        try:
-            qdyn.require_grid_fits(max(steps + 1, qdyn.GLOBAL_SCAN_SAMPLES), dim)
-        except DomainError as exc:
-            raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
         gsm = raw.get("ground_shift_mode", "instantaneous")
         if gsm not in ("instantaneous", "global"):
             raise BadConfig("field 'ground_shift_mode' invalid: must be 'instantaneous' or 'global'")
+        # the global shift scans its own grid, which then sets the floor
+        scan = qdyn.GLOBAL_SCAN_SAMPLES if gsm == "global" else 0
+        try:
+            qdyn.require_grid_fits(max(steps + 1, scan), dim)
+        except DomainError as exc:
+            raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
         ml_mode = raw.get("ml_mode", "linear")
         if ml_mode not in ("linear", "quadratic"):
             raise BadConfig("field 'ml_mode' invalid: must be 'linear' or 'quadratic'")
@@ -251,6 +252,8 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         stack = lambda ts: (v * (ts - tau / 2) / 2)[:, None, None] * sz + (gap / 2) * sx
 
     elif kind == "modulated_oscillator":
+        if d < 3:
+            raise BadConfig("modulated_oscillator requires dim >= 3: leakage is read from the top two levels")
         w0 = _param(cfg.params, "omega0", "modulated_oscillator")
         gamma = _param(cfg.params, "pump_rate", "modulated_oscillator")
         if gamma * tau > math.log(sys.float_info.max):
@@ -320,7 +323,7 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
 
 def _oscillator_leakage(traj: qdyn.Trajectory) -> float:
     """Max population of the top two ladder levels along the run."""
-    k = max(traj.dim - 2, 0)
+    k = traj.dim - 2
     if traj.is_pure:
         pops = np.sum(np.abs(traj.states[:, k:]) ** 2, axis=1)
     else:
@@ -439,19 +442,7 @@ def _set_path(raw: dict, path: str, value):
     node[parts[-1]] = value
 
 
-SWEEP_HEADER = [
-    "param_value",
-    "tau",
-    "bures",
-    "e_avg",
-    "de_avg",
-    "tau_mt",
-    "tau_ml_quad",
-    "tau_ml_lin",
-    "tau_qsl",
-    "slack_min",
-    "audit_passed",
-]
+SWEEP_HEADER = ["param_value", *bounds.REPORT_SCALARS, "slack_min", "audit_passed"]
 
 
 def sweep_command(config_path: str, parameter: str, values: list[float], output: str | None = None) -> int:
@@ -473,9 +464,7 @@ def sweep_command(config_path: str, parameter: str, values: list[float], output:
 
 def audit_command(config_path: str, tol: float | None = None, output: str | None = None) -> int:
     raw = load_config(config_path)
-    cfg = ProtocolConfig.from_dict(raw)
-    if tol is not None:
-        cfg = ProtocolConfig.from_dict({**raw, "audit_tolerance": tol})
+    cfg = ProtocolConfig.from_dict(raw if tol is None else {**raw, "audit_tolerance": tol})
     doc, report, audit, failed = run_pipeline(cfg)
     for c in audit.checks:
         status = "pass" if c.passed else "FAIL"

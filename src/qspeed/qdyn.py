@@ -46,33 +46,33 @@ MAX_ARRAY_BYTES = 2**32
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """A pure state vector or a density matrix of dimension ``dim``.
+    """A pure state vector (``amplitudes``) or a density matrix (``matrix``).
 
-    Construct through :meth:`pure` / :meth:`mixed` (or :func:`validate_state`),
-    which canonicalize the data: unit norm for vectors; Hermitian, unit-trace,
-    positive semidefinite matrices for density operators.
+    The state is pure when ``amplitudes`` is set, and its dimension is read
+    from whichever array is set.  Construct through :meth:`pure` /
+    :meth:`mixed` (or :func:`validate_state`), which canonicalize the data:
+    unit norm for vectors; Hermitian, unit-trace, positive semidefinite
+    matrices for density operators.
     """
 
-    kind: Literal["pure", "mixed"]
-    dim: int
     amplitudes: np.ndarray | None = None
     matrix: np.ndarray | None = None
 
     @staticmethod
     def pure(amplitudes) -> "QuantumState":
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        return validate_state(QuantumState("pure", vec.size, amplitudes=vec))
+        return validate_state(QuantumState(amplitudes=np.asarray(amplitudes, dtype=complex).reshape(-1)))
 
     @staticmethod
     def mixed(matrix) -> "QuantumState":
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got shape {mat.shape}")
-        return validate_state(QuantumState("mixed", mat.shape[0], matrix=mat))
+        return validate_state(QuantumState(matrix=np.asarray(matrix, dtype=complex)))
 
     @property
     def is_pure(self) -> bool:
-        return self.kind == "pure"
+        return self.amplitudes is not None
+
+    @property
+    def dim(self) -> int:
+        return (self.amplitudes if self.is_pure else self.matrix).shape[0]
 
     def density_matrix(self) -> np.ndarray:
         """The d x d density operator (outer product for pure states)."""
@@ -94,13 +94,12 @@ def validate_state(s: QuantumState) -> QuantumState:
     density matrices are symmetrized, their eigenvalues clipped at zero from
     below (rejected below -1e-6), and the trace renormalized.  Larger
     deviations raise :class:`NotNormalized` / :class:`NotPositive` /
-    :class:`NotHermitian`.
+    :class:`NotHermitian`, and a vector that is not 1-D or a matrix that is
+    not square :class:`DimensionMismatch`.
     """
-    if s.kind == "pure":
-        if s.amplitudes is None or s.amplitudes.ndim != 1:
+    if s.is_pure:
+        if s.amplitudes.ndim != 1:
             raise DimensionMismatch("pure state requires a 1-D amplitude vector")
-        if s.amplitudes.size != s.dim:
-            raise DimensionMismatch(f"dim {s.dim} != amplitude length {s.amplitudes.size}")
         if not np.isfinite(s.amplitudes).all():
             raise NotFinite("pure state amplitudes are non-finite")
         # finite amplitudes can still overflow the sum of squares
@@ -110,10 +109,11 @@ def validate_state(s: QuantumState) -> QuantumState:
             raise NotNormalized("pure state norm overflows a float; amplitudes must have unit norm")
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"pure state norm {norm:.8f} deviates from 1 beyond {NORM_TOL:g}")
-        return QuantumState("pure", s.dim, amplitudes=s.amplitudes / norm)
+        return QuantumState(amplitudes=s.amplitudes / norm)
 
-    if s.matrix is None or s.matrix.shape != (s.dim, s.dim):
-        raise DimensionMismatch(f"mixed state requires a {s.dim} x {s.dim} matrix")
+    shape = np.shape(s.matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"density matrix must be square, got shape {shape}")
     rho = _linalg.symmetrize(_linalg.require_hermitian(s.matrix, NORM_TOL, "density matrix"))
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > NORM_TOL:
@@ -121,7 +121,7 @@ def validate_state(s: QuantumState) -> QuantumState:
     w, v = np.linalg.eigh(rho)
     w = _linalg.clamped_nonneg(w, "density matrix")
     rho = (v * (w / w.sum())) @ v.conj().T
-    return QuantumState("mixed", s.dim, matrix=_linalg.symmetrize(rho))
+    return QuantumState(matrix=_linalg.symmetrize(rho))
 
 
 def require_grid_fits(samples: int, dim: int):
@@ -142,9 +142,9 @@ class HamiltonianProtocol:
 
     ``evaluator`` must return a Hermitian d x d matrix in energy units for
     every t in [0, duration].  A protocol may instead give ``stack``, which
-    maps an array of n times to the (n, d, d) stack of H(t) in one call;
-    its ``evaluator`` is then the one-sample stack :meth:`matrix`.
-    Hermiticity is validated on every evaluation.
+    maps an array of n times to the (n, d, d) stack of H(t) in one call and
+    is then used in place of ``evaluator``.  Hermiticity is validated on
+    every evaluation.
     """
 
     evaluator: Callable[[float], np.ndarray] | None
@@ -157,9 +157,7 @@ class HamiltonianProtocol:
     def __post_init__(self):
         for name in ("duration", "hbar"):
             require_positive(getattr(self, name), name)
-        if self.stack is not None:
-            object.__setattr__(self, "evaluator", self.matrix)
-        elif self.evaluator is None:
+        if self.evaluator is None and self.stack is None:
             raise DomainError("a protocol needs an evaluator or a stack")
         if self.dim == 0:
             probe = self.stack(np.zeros(1))[0] if self.stack is not None else self.evaluator(0.0)
@@ -189,18 +187,13 @@ class HamiltonianProtocol:
 
 @dataclass(frozen=True, eq=False)
 class _GroundShiftedProtocol(HamiltonianProtocol):
-    """``base`` shifted down by its instantaneous ground energy, or by
-    ``global_offset`` when set; the shift is applied in :meth:`matrices` only."""
+    """``stack``, the base protocol's :meth:`matrices`, shifted down by its
+    instantaneous ground energy, or by ``global_offset`` when set."""
 
-    base: HamiltonianProtocol | None = None
     global_offset: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "evaluator", self.matrix)
-        super().__post_init__()
-
     def matrices(self, ts: np.ndarray) -> np.ndarray:
-        stack = self.base.matrices(ts)
+        stack = self.stack(ts)
         eye = np.eye(self.dim)
         if self.global_offset is None:
             e0 = np.linalg.eigvalsh(stack)[:, 0]
@@ -219,18 +212,20 @@ def ground_shift(
     the minimum instantaneous ground energy over a uniform scan of
     ``GLOBAL_SCAN_SAMPLES`` times in [0, duration].  Either way the returned
     protocol evaluates ``p`` and applies the shift to the whole H(t) stack.
+    A global scan whose (``GLOBAL_SCAN_SAMPLES``, dim, dim) array would pass
+    ``MAX_ARRAY_BYTES`` raises :class:`DomainError` before H is evaluated.
     """
     if mode == "instantaneous":
         offset = None
     elif mode == "global":
+        require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim)
         ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
         offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
     else:
         raise DomainError(f"unknown ground shift mode {mode!r}")
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
-    # __post_init__ binds the evaluator to the shifted one-sample stack
-    return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, base=p, global_offset=offset)
+    return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, stack=p.matrices, global_offset=offset)
 
 
 def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -329,9 +324,9 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
     n = int(steps)
     require_grid_fits(n + 1, p.dim)
+    s0 = validate_state(s0)
     if s0.dim != p.dim:
         raise DimensionMismatch(f"state dim {s0.dim} != protocol dim {p.dim}")
-    s0 = validate_state(s0)
 
     times = np.linspace(0.0, p.duration, n + 1)
     dt = p.duration / n

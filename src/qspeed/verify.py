@@ -21,7 +21,7 @@ surface exactly that, not to hide it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,16 +54,9 @@ class CheckResult:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "worst_margin": self.worst_margin,
-            "worst_time": self.worst_time,
-            "passed": self.passed,
-            "samples_checked": self.samples_checked,
-            "lhs_at_worst": self.lhs_at_worst,
-            "rhs_at_worst": self.rhs_at_worst,
-        }
-        out.update(self.extra)
+        """The fields in order, with the ``extra`` entries last in place of ``extra``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(out.pop("extra"))
         return out
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from qspeed import QuantumState, ground_shift, propagate
 from qspeed.cli import (
+    SWEEP_HEADER,
     ProtocolConfig,
     _oscillator_leakage,
     _sanitize,
@@ -83,6 +84,13 @@ class TestConfigValidation:
     def test_bad_shift_mode(self):
         with pytest.raises(BadConfig, match="ground_shift_mode"):
             ProtocolConfig.from_dict({**BENCH, "ground_shift_mode": "sometimes"})
+
+    def test_scan_floor_only_for_the_global_shift(self):
+        """The 1025-sample global scan counts toward the size cap only when it runs."""
+        raw = {**BENCH, "dim": 2048, "steps": 16}
+        assert ProtocolConfig.from_dict(raw).dim == 2048
+        with pytest.raises(BadConfig, match="'steps' and 'dim'"):
+            ProtocolConfig.from_dict({**raw, "ground_shift_mode": "global"})
 
     def test_bad_hbar(self):
         with pytest.raises(BadConfig, match="hbar"):
@@ -237,7 +245,7 @@ class TestInitialState:
     def test_matrix_state(self):
         cfg = ProtocolConfig.from_dict({**BENCH, "initial_state": {"matrix": [[0.5, 0], [0, 0.5]]}})
         s = initial_state(cfg, build_protocol(cfg))
-        assert s.kind == "mixed"
+        assert not s.is_pure
 
     def test_invalid_state(self):
         cfg = ProtocolConfig.from_dict({**BENCH, "initial_state": "vacuum"})
@@ -286,6 +294,11 @@ class TestRunCommand:
         oc = next(c for c in doc["audit"]["checks"] if c["name"] == "overlap_cosine")
         assert not oc["passed"]
         assert doc["qsl"]["slacks"]["ml_lin"] < 1.0
+
+    def test_two_level_oscillator_exit_2_names_dim(self, tmp_path, capsys):
+        raw = {**OSC, "dim": 2, "initial_state": {"amplitudes": [1, 0]}}
+        assert main(["run", write_config(tmp_path, raw)]) == 2
+        assert "dim >= 3" in capsys.readouterr().err
 
     def test_oscillator_leakage_exit_3(self, tmp_path):
         raw = {**OSC, "params": {"omega0": 1.0, "pump_rate": 0.0, "squeeze": 0.8}}
@@ -417,6 +430,12 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
+    def test_header_order(self):
+        assert SWEEP_HEADER == [
+            "param_value", "tau", "bures", "e_avg", "de_avg",
+            "tau_mt", "tau_ml_quad", "tau_ml_lin", "tau_qsl", "slack_min", "audit_passed",
+        ]
+
     def test_pump_rate_sweep_monotonicity(self, tmp_path):
         cfg = write_config(tmp_path, OSC)
         out = tmp_path / "sweep.csv"

@@ -81,6 +81,21 @@ class TestValidateState:
         w = np.linalg.eigvalsh(s.matrix)
         assert np.allclose(w, [0.5, 0.5])
 
+    def test_kind_and_dim_read_from_the_array(self):
+        pure = QuantumState.pure([1.0, 0.0, 0.0])
+        mixed = QuantumState.mixed(np.eye(2) / 2)
+        assert pure.is_pure and pure.dim == 3
+        assert not mixed.is_pure and mixed.dim == 2
+
+    @pytest.mark.parametrize(
+        "state",
+        [QuantumState(matrix=np.ones((2, 3)) / 2), QuantumState(amplitudes=np.eye(2, dtype=complex))],
+        ids=["non_square_matrix", "2d_amplitudes"],
+    )
+    def test_misshapen_array_rejected(self, state):
+        with pytest.raises(DimensionMismatch):
+            validate_state(state)
+
     def test_basis_state_accepted(self):
         s = QuantumState.pure([1.0, 0.0])
         assert s.purity() == pytest.approx(1.0)
@@ -120,7 +135,7 @@ class TestValidateState:
         s = QuantumState.pure(v)
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-12)
         rho = np.diag([0.6, 0.4]) + 1e-8 * np.array([[0, 1j], [-1j, 0]])
-        m = validate_state(QuantumState("mixed", 2, matrix=rho))
+        m = validate_state(QuantumState(matrix=rho))
         assert np.max(np.abs(m.matrix - m.matrix.conj().T)) < 1e-15
         assert np.trace(m.matrix).real == pytest.approx(1.0, abs=1e-12)
 
@@ -222,12 +237,18 @@ class TestGroundShift:
         assert np.linalg.eigvalsh(shifted.matrix(1.0))[0] == pytest.approx(math.sin(1.0), abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["instantaneous", "global"])
-    def test_shifted_evaluator_matrix_and_stack_agree(self, mode):
+    def test_shifted_matrix_and_stack_agree(self, mode):
         shifted = ground_shift(random_smooth_protocol(np.random.default_rng(8), 3), mode=mode)
         for t in np.linspace(0.0, shifted.duration, 7):
-            h = shifted.matrices([t])[0]
-            assert np.array_equal(shifted.evaluator(t), h)
-            assert np.array_equal(shifted.matrix(t), h)
+            assert np.array_equal(shifted.matrix(t), shifted.matrices([t])[0])
+
+    def test_oversized_global_scan_refused_before_any_h_evaluation(self):
+        def stack(ts):
+            raise AssertionError("H(t) evaluated for an oversized global scan")
+
+        p = HamiltonianProtocol(None, 1.0, dim=600, stack=stack)
+        with pytest.raises(DomainError, match="GiB"):
+            ground_shift(p, mode="global")
 
 
 class TestPropagate:
@@ -305,10 +326,10 @@ class TestPropagate:
             HamiltonianProtocol(None, 1.0)
 
     def test_stack_protocol(self):
-        """A stack protocol gets its dim and its one-time evaluator from the stack."""
+        """A stack protocol gets its dim from the stack."""
         p = HamiltonianProtocol(None, 2.0, stack=lambda ts: ts[:, None, None] * SZ)
         assert p.dim == 2
-        assert np.array_equal(p.evaluator(0.5), 0.5 * SZ)
+        assert np.array_equal(p.matrix(0.5), 0.5 * SZ)
         assert np.array_equal(p.matrices([0.0, 1.5]), np.stack([0.0 * SZ, 1.5 * SZ]))
 
     def test_stack_of_wrong_length_rejected(self):

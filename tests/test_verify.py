@@ -188,8 +188,11 @@ class TestAuditTrajectory:
     def test_report_serialization(self, saturating_run):
         doc = audit_trajectory(saturating_run).to_dict()
         assert set(doc) == {"checks", "tolerance", "trajectory_label", "skipped"}
-        for entry in doc["checks"]:
-            assert {"name", "worst_margin", "worst_time", "passed", "samples_checked"} <= set(entry)
+        fields = ["name", "worst_margin", "worst_time", "passed", "samples_checked", "lhs_at_worst", "rhs_at_worst"]
+        # key order is part of the byte-identical report; extra entries come last
+        assert list(doc["checks"][0]) == [*fields, "velocity_sign_changes"]
+        for entry in doc["checks"][1:]:
+            assert list(entry) == fields
 
 
 def variance_margin(traj):
