@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -79,6 +79,9 @@ class ProtocolConfig:
     def from_dict(cls, raw: dict) -> "ProtocolConfig":
         if not isinstance(raw, dict):
             raise BadConfig("config must be a JSON object")
+        unknown = raw.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise BadConfig(f"unknown field(s) {', '.join(sorted(map(repr, unknown)))}")
 
         def need(name, types, check=None, why=""):
             if name not in raw:
@@ -113,8 +116,8 @@ class ProtocolConfig:
         except DomainError as exc:
             raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
         ml_mode = raw.get("ml_mode", "linear")
-        if ml_mode not in ("linear", "quadratic"):
-            raise BadConfig("field 'ml_mode' invalid: must be 'linear' or 'quadratic'")
+        if not isinstance(ml_mode, str) or ml_mode not in bounds.ML_MODES:
+            raise BadConfig(f"field 'ml_mode' invalid: must be one of {tuple(bounds.ML_MODES)}")
         tol = positive("audit_tolerance", 1e-6)
         params = raw.get("params", {})
         if not isinstance(params, dict):
@@ -170,9 +173,17 @@ def decode_matrix(raw, dim: int, where: str) -> np.ndarray:
     return np.array(entries, dtype=complex)
 
 
+def _field_checked(where: str, check, value):
+    """``check(value)``, with a library error re-raised as BadConfig naming ``where``."""
+    try:
+        return check(value)
+    except QspeedError as exc:
+        raise BadConfig(f"field '{where}' invalid: {exc}") from exc
+
+
 def _hamiltonian(raw, dim: int, where: str) -> np.ndarray:
-    """A decoded matrix param, checked Hermitian (within 1e-10) and finite."""
-    return _linalg.require_hermitian(decode_matrix(raw, dim, where), what=where)
+    """A decoded matrix param, checked Hermitian (within 1e-10)."""
+    return _field_checked(where, _linalg.require_hermitian, decode_matrix(raw, dim, where))
 
 
 def _param(params: dict, name: str, where: str) -> float:
@@ -309,9 +320,10 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
         if not isinstance(amps, list) or len(amps) != cfg.dim:
             raise BadConfig(f"initial_state.amplitudes: expected a list of length {cfg.dim}")
         amps = [_decode_entry(e, f"initial_state.amplitudes[{i}]") for i, e in enumerate(amps)]
-        return qdyn.QuantumState.pure(np.array(amps))
+        return _field_checked("initial_state.amplitudes", qdyn.QuantumState.pure, np.array(amps))
     if isinstance(spec, dict) and "matrix" in spec:
-        return qdyn.QuantumState.mixed(decode_matrix(spec["matrix"], cfg.dim, "initial_state.matrix"))
+        matrix = decode_matrix(spec["matrix"], cfg.dim, "initial_state.matrix")
+        return _field_checked("initial_state.matrix", qdyn.QuantumState.mixed, matrix)
     raise BadConfig(
         "initial_state: must be 'ground', 'equal_superposition', {'amplitudes': [...]}, or {'matrix': [[...]]}"
     )

@@ -98,18 +98,19 @@ def validate_state(s: QuantumState) -> QuantumState:
     not square :class:`DimensionMismatch`.
     """
     if s.is_pure:
-        if s.amplitudes.ndim != 1:
+        amps = np.asarray(s.amplitudes, dtype=complex)
+        if amps.ndim != 1:
             raise DimensionMismatch("pure state requires a 1-D amplitude vector")
-        if not np.isfinite(s.amplitudes).all():
+        if not np.isfinite(amps).all():
             raise NotFinite("pure state amplitudes are non-finite")
         # finite amplitudes can still overflow the sum of squares
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(s.amplitudes))
+            norm = float(np.linalg.norm(amps))
         if not math.isfinite(norm):
             raise NotNormalized("pure state norm overflows a float; amplitudes must have unit norm")
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"pure state norm {norm:.8f} deviates from 1 beyond {NORM_TOL:g}")
-        return QuantumState(amplitudes=s.amplitudes / norm)
+        return QuantumState(amplitudes=amps / norm)
 
     shape = np.shape(s.matrix)
     if len(shape) != 2 or shape[0] != shape[1]:

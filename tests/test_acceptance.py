@@ -169,8 +169,8 @@ def test_criterion_1_saturation_benchmark():
     )
     line = report_line(
         1, ok, "saturation benchmark: angle pi/2, both undriven bounds recovered and saturated",
-        f"bures err {abs(report.bures - math.pi/2):.2e}, mt slack {report.slack_mt:.6f}, "
-        f"ml_lin slack {report.slack_ml_lin:.6f}, {elapsed*1e3:.0f} ms",
+        f"bures err {abs(report.bures - math.pi/2):.2e}, mt slack {report.slacks['mt']:.6f}, "
+        f"ml_lin slack {report.slacks['ml_lin']:.6f}, {elapsed*1e3:.0f} ms",
     )
     assert ok, line
 
@@ -210,14 +210,14 @@ def test_criterion_2_linear_energy_bound_pure_subset(corpus, rerun):
     runs, _ = corpus
     pure_runs = [r for r in runs if r.pure]
     bad = [r for r in pure_runs if r.report.tau_ml_lin > r.tau * (1 + 1e-6)]
-    worst = min(pure_runs, key=lambda r: r.report.slack_ml_lin)
+    worst = min(pure_runs, key=lambda r: r.report.slacks["ml_lin"])
     problems = []
     # 1. the bound and its slack are the formulas' values on every pure run
     # (a clipped bound or slack breaks these equalities), and a strict
     # report raises on every violating run
     for r in pure_runs:
         rep = r.report
-        if rep.tau_ml_lin != rep.hbar * rep.bures / rep.e_avg or rep.slack_ml_lin != r.tau / rep.tau_ml_lin:
+        if rep.tau_ml_lin != rep.hbar * rep.bures / rep.e_avg or rep.slacks["ml_lin"] != r.tau / rep.tau_ml_lin:
             problems.append(f"run {r.index}: tau_ml_lin or its slack is not the formula's value")
     for r in bad:
         traj = rerun(r.index)
@@ -230,9 +230,9 @@ def test_criterion_2_linear_energy_bound_pure_subset(corpus, rerun):
             pass
     # 2. the worst violations survive a doubled grid at the same slack
     drift = 0.0
-    for r in sorted(bad, key=lambda r: r.report.slack_ml_lin)[:TOP_K]:
+    for r in sorted(bad, key=lambda r: r.report.slacks["ml_lin"])[:TOP_K]:
         fine = build_report(rerun(r.index, FINE_STEPS), strict=False)
-        drift = max(drift, abs(fine.slack_ml_lin - r.report.slack_ml_lin))
+        drift = max(drift, abs(fine.slacks["ml_lin"] - r.report.slacks["ml_lin"]))
         if not fine.tau_ml_lin > fine.tau * (1 + 1e-6):
             problems.append(f"run {r.index}: no violation at N = {FINE_STEPS}")
     if drift > GRID_AGREEMENT:
@@ -244,7 +244,7 @@ def test_criterion_2_linear_energy_bound_pure_subset(corpus, rerun):
     line = report_line(
         2, ok, "property suite: linear mean-energy bound is falsified on the pure-state subset "
         "and each violation is reported faithfully",
-        f"{len(bad)}/{len(pure_runs)} pure runs violate, worst slack {worst.report.slack_ml_lin:.4f} "
+        f"{len(bad)}/{len(pure_runs)} pure runs violate, worst slack {worst.report.slacks['ml_lin']:.4f} "
         f"(run {worst.index}), N={FINE_STEPS} slack drift {drift:.1e}",
     )
     assert ok, "\n".join([line, *problems])

@@ -137,6 +137,27 @@ class TestBoundFormulas:
             with pytest.raises(DomainError, match="hbar"):
                 formula(0.5, 1.0, hbar)
 
+    @pytest.mark.parametrize("formula", [tau_mt, tau_ml_linear, tau_ml_quadratic])
+    def test_one_input_rule_for_every_formula(self, formula):
+        for ell in (2.0, -1e-6, math.nan):
+            with pytest.raises(DomainError, match="Bures angle"):
+                formula(ell, 1.0, 1.0)
+        # hbar and a NaN rate: test_hbar_must_be_finite_positive and test_nan_energy_is_not_finite
+        for rate in (math.inf, -math.inf):
+            with pytest.raises(NotFinite):
+                formula(0.5, rate, 1.0)
+        for rate in (-1e-6, -2.0):
+            with pytest.raises(NegativeEnergy):
+                formula(0.5, rate, 1.0)
+        # rounding noise below zero is clamped, not rejected
+        assert formula(0.0, -1e-12, 1.0) == 0.0
+        assert formula(0.5, -1e-12, 1.0) == math.inf
+
+    @pytest.mark.parametrize("mode", ["cubic", None, ["linear"]])
+    def test_qsl_unknown_mode(self, mode):
+        with pytest.raises(DomainError, match="mode"):
+            qsl_time(0.5, 1.0, 1.0, 1.0, mode)
+
     def test_quadratic_bound_finite_when_both_products_overflow(self):
         # 4 hbar L^2 and pi^2 E_avg both overflow; their ratio is 4 / pi^2
         assert tau_ml_quadratic(1.0, 1e308, 1e308) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
@@ -149,8 +170,8 @@ class TestBoundFormulas:
 class TestBuildReport:
     def test_saturating_slack_one(self, saturating_run):
         report = build_report(saturating_run)
-        assert report.slack_mt == pytest.approx(1.0, abs=1e-4)
-        assert report.slack_ml_lin == pytest.approx(1.0, abs=1e-4)
+        assert report.slacks["mt"] == pytest.approx(1.0, abs=1e-4)
+        assert report.slacks["ml_lin"] == pytest.approx(1.0, abs=1e-4)
         assert report.tau_qsl == pytest.approx(report.tau, rel=1e-4)
         assert report.qsl_satisfied
 
@@ -166,9 +187,9 @@ class TestBuildReport:
         for _ in range(20):
             traj = run_random(rng, 4, pure=False)
             report = build_report(traj, strict=False)
-            assert report.slack_mt >= 1.0 - 1e-6
-            assert report.slack_ml_quad >= 1.0 - 1e-6
-            assert report.slack_ml_lin >= 1.0 - 1e-6
+            assert report.slacks["mt"] >= 1.0 - 1e-6
+            assert report.slacks["ml_quad"] >= 1.0 - 1e-6
+            assert report.slacks["ml_lin"] >= 1.0 - 1e-6
 
     def test_linear_bound_falsified_by_tilted_superposition(self):
         # analytically: L = pi/3, E_avg = 1/4, so the linear bound is 4 pi / 3 > pi
@@ -178,10 +199,10 @@ class TestBuildReport:
         report = build_report(traj, strict=False)
         assert report.tau_ml_lin == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
         assert not report.qsl_satisfied
-        assert report.slack_ml_lin == pytest.approx(0.75, rel=1e-6)
+        assert report.slacks["ml_lin"] == pytest.approx(0.75, rel=1e-6)
         # the variance and quadratic bounds hold on the same run
-        assert report.slack_mt >= 1.0
-        assert report.slack_ml_quad >= 1.0
+        assert report.slacks["mt"] >= 1.0
+        assert report.slacks["ml_quad"] >= 1.0
 
     def test_quadratic_mode_passes_where_linear_fails(self):
         traj = skewed_two_level_run()
@@ -209,3 +230,10 @@ class TestBuildReport:
             "tau_mt", "tau_ml_quad", "tau_ml_lin", "tau_qsl", "slacks",
         ]
         assert list(doc["slacks"]) == ["mt", "ml_quad", "ml_lin"]
+
+    def test_slacks_derived_from_the_bounds(self):
+        report = build_report(skewed_two_level_run(), strict=False)
+        assert list(report.slacks) == ["mt", "ml_quad", "ml_lin"]
+        taus = (report.tau_mt, report.tau_ml_quad, report.tau_ml_lin)
+        assert list(report.slacks.values()) == [report.tau / t for t in taus]
+        assert report.slack_min == min(report.slacks.values()) == report.slacks["ml_lin"]

@@ -26,7 +26,7 @@ from qspeed.cli import (
     run_pipeline,
     sweep_command,
 )
-from qspeed.errors import BadConfig, NotHermitian
+from qspeed.errors import BadConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,6 +92,12 @@ class TestConfigValidation:
         with pytest.raises(BadConfig, match="'steps' and 'dim'"):
             ProtocolConfig.from_dict({**raw, "ground_shift_mode": "global"})
 
+    def test_unknown_ml_mode(self):
+        with pytest.raises(BadConfig, match="ml_mode"):
+            ProtocolConfig.from_dict({**BENCH, "ml_mode": "cubic"})
+        with pytest.raises(BadConfig, match="ml_mode"):
+            ProtocolConfig.from_dict({**BENCH, "ml_mode": ["linear"]})
+
     def test_bad_hbar(self):
         with pytest.raises(BadConfig, match="hbar"):
             ProtocolConfig.from_dict({**BENCH, "hbar": 0})
@@ -109,7 +115,7 @@ class TestProtocolKinds:
 
     def test_constant_rejects_non_hermitian(self):
         raw = {**BENCH, "params": {"matrix": [[0, 1], [0, 0]]}}
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadConfig, match="'params.matrix'.*Hermiticity"):
             build_protocol(ProtocolConfig.from_dict(raw))
 
     def test_rabi_zero_amplitude_matches_constant(self):
@@ -225,7 +231,7 @@ class TestProtocolKinds:
                 },
             }
         )
-        with pytest.raises(NotHermitian):
+        with pytest.raises(BadConfig, match=r"'params.samples\[0\].matrix'.*Hermiticity"):
             build_protocol(cfg)
 
     def test_oscillator_matrix_structure(self):
@@ -370,6 +376,10 @@ class TestRunCommand:
             ({**BENCH, "params": {"matrix": [[{"re": "x"}, 0], [0, 1]]}}, "params.matrix[0][0].re"),
             ({**BENCH, "params": {"matrix": [[0, math.nan], [math.nan, 1]]}}, "params.matrix[0][1]"),
             ({**BENCH, "initial_state": {"amplitudes": [math.nan, 1]}}, "initial_state.amplitudes[0]"),
+            ({**BENCH, "initial_state": {"amplitudes": [1, 1]}}, "initial_state.amplitudes"),
+            ({**BENCH, "initial_state": {"matrix": [[1, 0], [0, 1]]}}, "initial_state.matrix"),
+            ({**BENCH, "params": {"matrix": [[0, 1], [0, 0]]}}, "params.matrix"),
+            ({**BENCH, "ground_shift_mod": "global"}, "ground_shift_mod"),
         ],
         ids=[
             "squeeze_str",
@@ -381,6 +391,10 @@ class TestRunCommand:
             "entry_re_str",
             "entry_nan",
             "amplitude_nan",
+            "amplitudes_unnormalized",
+            "density_matrix_trace_2",
+            "matrix_non_hermitian",
+            "unknown_top_level_key",
         ],
     )
     def test_bad_param_exit_2_names_field(self, tmp_path, capsys, doc, field):

@@ -96,6 +96,12 @@ class TestValidateState:
         with pytest.raises(DimensionMismatch):
             validate_state(state)
 
+    def test_direct_construction_validated(self):
+        s = validate_state(QuantumState(amplitudes=[1, 0]))
+        assert s.amplitudes.dtype == complex and s.dim == 2
+        with pytest.raises(DimensionMismatch):
+            validate_state(QuantumState())
+
     def test_basis_state_accepted(self):
         s = QuantumState.pure([1.0, 0.0])
         assert s.purity() == pytest.approx(1.0)
