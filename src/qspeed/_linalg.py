@@ -23,9 +23,12 @@ def hermitian_deviation(m: np.ndarray) -> float:
     """Max elementwise deviation of m, or of a stack (..., d, d), from its
     conjugate transpose; not finite when an entry is not, which every
     caller reports as :class:`NotFinite`."""
-    # inf - inf is NaN here; the caller names it, so numpy need not warn
+    # the difference overwrites the conjugate transpose, so a stack costs one
+    # complex temporary of its size, not two; inf - inf is NaN here, and the
+    # caller names it, so numpy need not warn
+    diff = np.conj(np.swapaxes(m, -1, -2))
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))))
+        return float(np.max(np.abs(np.subtract(m, diff, out=diff))))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:

@@ -38,14 +38,15 @@ __all__ = [
     "main",
 ]
 
-PROTOCOL_KINDS = (
-    "constant",
-    "piecewise_const",
-    "rabi_qubit",
-    "landau_zener",
-    "modulated_oscillator",
-    "matrix_samples",
-)
+# every protocol kind with the names its ``params`` accept
+KIND_PARAMS = {
+    "constant": ("matrix",),
+    "piecewise_const": ("segments",),
+    "rabi_qubit": ("omega0", "amplitude", "drive_frequency"),
+    "landau_zener": ("sweep_rate", "gap"),
+    "modulated_oscillator": ("omega0", "pump_rate", "squeeze"),
+    "matrix_samples": ("samples",),
+}
 
 LEAKAGE_LIMIT = 1e-6
 
@@ -99,7 +100,7 @@ class ProtocolConfig:
                 raise BadConfig(f"field '{name}' invalid: must be a finite number > 0")
             return val
 
-        kind = need("kind", str, lambda k: k in PROTOCOL_KINDS, f"must be one of {PROTOCOL_KINDS}")
+        kind = need("kind", str, lambda k: k in KIND_PARAMS, f"must be one of {tuple(KIND_PARAMS)}")
         dim = need("dim", int, lambda d: d >= 2, "must be an integer >= 2")
         duration = positive("duration")
         hbar = positive("hbar", 1.0)
@@ -213,6 +214,11 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     """Realize the configured protocol kind as a HamiltonianProtocol whose
     ``stack`` evaluates H on a whole time grid in one call."""
     kind, d, tau = cfg.kind, cfg.dim, cfg.duration
+    unknown = cfg.params.keys() - KIND_PARAMS[kind]
+    if unknown:
+        names = ", ".join(sorted(f"'params.{name}'" for name in unknown))
+        accepted = ", ".join(KIND_PARAMS[kind])
+        raise BadConfig(f"unknown field(s) {names} for kind '{kind}', which accepts {accepted}")
 
     if kind == "constant":
         h = _hamiltonian(cfg.params.get("matrix"), d, "params.matrix")

@@ -12,6 +12,8 @@ precision while the time dependence is resolved to second order.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -42,6 +44,9 @@ GLOBAL_SCAN_SAMPLES = 1025
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
 MAX_ARRAY_BYTES = 2**32
+# the midpoint eigh runs in slices of about this many bytes of H, so its
+# temporaries stay small and two threads can share it
+EIGH_SLICE_BYTES = 2**21
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +184,15 @@ class HamiltonianProtocol:
         ts = np.asarray(ts, dtype=float)
         if self.stack is not None:
             stack = np.asarray(self.stack(ts), dtype=complex)
+            if stack.shape != (len(ts), self.dim, self.dim):
+                raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         else:
-            stack = np.stack([np.asarray(self.evaluator(float(t)), dtype=complex) for t in ts])
-        if stack.shape != (len(ts), self.dim, self.dim):
-            raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
+            stack = np.empty((len(ts), self.dim, self.dim), dtype=complex)
+            for k, t in enumerate(ts.tolist()):
+                h = np.asarray(self.evaluator(t), dtype=complex)
+                if h.shape != stack.shape[1:]:
+                    raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
+                stack[k] = h
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -230,7 +240,8 @@ def ground_shift(
 
 
 def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack.
+    """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack; ``v``
+    is overwritten with V exp(-i W dt / hbar).
 
     A stacked matmul, because it gives the same bits as building each
     slice on its own; an einsum contraction does not.  Raises
@@ -244,7 +255,33 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarr
         top = float(np.abs(w).max())
         raise NotFinite(f"step phase |E|*dt/hbar overflows a float (max |E| = {top:g}, dt = {dt:g}, hbar = {hbar:g})")
     phases = np.exp(angles)
-    return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    v *= phases[..., None, :]
+    return v @ vh
+
+
+def _eigh_slices(h: np.ndarray) -> queue.SimpleQueue:
+    """The slices of the stack ``h`` that :func:`_eigh_into` works on, each
+    about ``EIGH_SLICE_BYTES`` of it, in a queue."""
+    slices = queue.SimpleQueue()
+    rows = max(1, EIGH_SLICE_BYTES // h[0].nbytes)
+    for lo in range(0, len(h), rows):
+        slices.put(slice(lo, lo + rows))
+    return slices
+
+
+def _eigh_into(h: np.ndarray, w: np.ndarray, v: np.ndarray, slices: queue.SimpleQueue, errors: list):
+    """``w[s], v[s] = np.linalg.eigh(h[s])`` for each slice ``s`` taken from
+    ``slices`` until it is empty, so threads that share the queue share the
+    work; an exception is appended to ``errors`` for the caller to raise."""
+    try:
+        while True:
+            s = slices.get_nowait()
+            w[s], v[s] = np.linalg.eigh(h[s])
+    except queue.Empty:
+        pass
+    except Exception as exc:
+        errors.append(exc)
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -311,13 +348,18 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     alone, so all N unitaries (and, for densities, their adjoints) are built
     before the loop, from one batched eigendecomposition of the midpoint H
     stack and the stacked matmul that :func:`step_unitary` also uses; the
-    loop only applies them in order.  Per-sample observables (<H_t>,
-    variance, Bures angle from the start, and for pure runs the complex
-    overlap with the initial state) are computed from the H(t) stack at the
-    N+1 samples, which the trajectory keeps.  A non-finite H(t), variance
-    or purity raises :class:`NotFinite`; a non-integer ``steps``, or one whose
-    (steps + 1, dim, dim) array would pass ``MAX_ARRAY_BYTES``,
-    :class:`DomainError`.
+    loop only applies them in order.  The protocol is evaluated on the
+    calling thread, at the midpoints and then at the N+1 samples; when the
+    midpoint stack spans more than one ``EIGH_SLICE_BYTES`` slice, a worker
+    thread that this call starts and joins runs its eigendecomposition
+    meanwhile.  The bits are those of running the two in sequence.
+    Per-sample observables (<H_t>, variance, Bures angle from the start, and
+    for pure runs the complex overlap with the initial state) are computed
+    from the H(t) stack at the samples, which the trajectory keeps.  An
+    error of the midpoint side is raised before one of the samples.  A
+    non-finite H(t), variance or purity raises :class:`NotFinite`; a
+    non-integer ``steps``, or one whose (steps + 1, dim, dim) array would
+    pass ``MAX_ARRAY_BYTES``, :class:`DomainError`.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an integer, got {steps!r}")
@@ -333,11 +375,38 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     dt = p.duration / n
     d = p.dim
 
-    # the midpoint H stack and its eigenvectors are released once the
-    # unitaries exist, so building them all up front does not raise peak memory
-    w, v = np.linalg.eigh(p.matrices(times[:-1] + dt / 2))
+    # LAPACK releases the GIL, so the worker's eigh overlaps the grid
+    # evaluation; this thread takes the slices left when the grid is done.
+    # A stack of one slice gets no worker: starting a thread costs more than
+    # the overlap saves, and how long it takes varies from run to run.
+    # Midpoint errors and the step-phase overflow come before a grid error,
+    # in the order a sequential run would raise them.
+    mid = p.matrices(times[:-1] + dt / 2)
+    w = np.empty((n, d))
+    v = np.empty((n, d, d), dtype=complex)
+    slices = _eigh_slices(mid)
+    eigh_errors = []
+    worker = None
+    if slices.qsize() > 1:
+        worker = threading.Thread(target=_eigh_into, args=(mid, w, v, slices, eigh_errors))
+        worker.start()
+    grid_error = None
+    try:
+        try:
+            h_samp = p.matrices(times)
+        except Exception as exc:
+            grid_error = exc
+        _eigh_into(mid, w, v, slices, eigh_errors)
+    finally:
+        if worker is not None:
+            worker.join()
+    del mid
+    if eigh_errors:
+        raise eigh_errors[0]
     u = _unitaries(w, v, dt, p.hbar)
     del w, v
+    if grid_error is not None:
+        raise grid_error
 
     pure = s0.is_pure
     if pure:
@@ -355,8 +424,6 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         states = rhos
         del uh
     del u
-
-    h_samp = p.matrices(times)
 
     if pure:
         me = np.einsum("ti,tij,tj->t", psis.conj(), h_samp, psis).real

@@ -403,6 +403,49 @@ class TestRunCommand:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, typo",
+        [
+            ({**BENCH, "params": {**BENCH["params"], "martix": 1}}, "martix"),
+            (
+                {
+                    **BENCH,
+                    "kind": "piecewise_const",
+                    "params": {"segments": [{"matrix": [[0, 0], [0, 1]], "duration": math.pi}], "segment": []},
+                },
+                "segment",
+            ),
+            (
+                {
+                    **BENCH,
+                    "kind": "rabi_qubit",
+                    "params": {"omega0": 1.0, "amplitude": 0.5, "drive_frequency": 1.0, "drive_freq": 2.0},
+                },
+                "drive_freq",
+            ),
+            ({**BENCH, "kind": "landau_zener", "params": {"sweep_rate": 2.0, "gap": 1.0, "gaps": 0.5}}, "gaps"),
+            ({**OSC, "params": {"omega0": 1.0, "pump_rate": 0.0, "sqeeze": 0.8}}, "sqeeze"),
+            (
+                {
+                    **BENCH,
+                    "kind": "matrix_samples",
+                    "params": {
+                        "samples": [{"t": 0.0, "matrix": [[0, 0], [0, 1]]}, {"t": math.pi, "matrix": [[0, 0], [0, 1]]}],
+                        "sample": [],
+                    },
+                },
+                "sample",
+            ),
+        ],
+        ids=["constant", "piecewise_const", "rabi_qubit", "landau_zener", "modulated_oscillator", "matrix_samples"],
+    )
+    def test_unknown_param_exit_2_names_field(self, tmp_path, capsys, doc, typo):
+        """A misspelt param is refused, not run with its default."""
+        out = tmp_path / "out.json"
+        assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
+        assert f"'params.{typo}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [{**BENCH, "steps": 10**400}, {**OSC, "dim": 10**400}], ids=["steps", "dim"])
     def test_oversized_grid_exit_2(self, tmp_path, capsys, doc):
         assert main(["run", write_config(tmp_path, doc)]) == 2

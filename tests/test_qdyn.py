@@ -1,6 +1,9 @@
 """States, eigendecomposition, ground shift, and unitary propagation."""
 
 import math
+import multiprocessing
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from qspeed import (
     step_unitary,
     validate_state,
 )
-from qspeed import _linalg
+from qspeed import _linalg, qdyn
 from qspeed.cli import ProtocolConfig, build_protocol, initial_state
 from qspeed.errors import (
     DimensionMismatch,
@@ -34,7 +37,7 @@ from qspeed.errors import (
     NotPositive,
     StepCountTooSmall,
 )
-from qspeed.qdyn import _unitaries
+from qspeed.qdyn import _eigh_into, _eigh_slices, _unitaries
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -338,6 +341,17 @@ class TestPropagate:
         assert np.array_equal(p.matrix(0.5), 0.5 * SZ)
         assert np.array_equal(p.matrices([0.0, 1.5]), np.stack([0.0 * SZ, 1.5 * SZ]))
 
+    def test_evaluator_of_inconsistent_shape_names_t(self):
+        p = HamiltonianProtocol(lambda t: SZ if t < 0.5 else np.eye(3), 1.0)
+        with pytest.raises(DimensionMismatch, match=r"at t = 0\.75 has shape \(3, 3\), expected \(2, 2\)"):
+            p.matrices([0.0, 0.25, 0.75])
+
+    def test_evaluator_stack_matches_np_stack(self):
+        p = random_smooth_protocol(np.random.default_rng(24), 4)
+        ts = np.linspace(0.0, p.duration, 33)
+        expected = np.stack([np.asarray(p.evaluator(float(t)), dtype=complex) for t in ts])
+        assert p.matrices(ts).tobytes() == expected.tobytes()
+
     def test_stack_of_wrong_length_rejected(self):
         p = HamiltonianProtocol(None, 1.0, dim=2, stack=lambda ts: np.stack([SZ] * (len(ts) + 1)))
         with pytest.raises(DimensionMismatch, match="shape"):
@@ -446,3 +460,120 @@ class TestPropagate:
     def test_ground_energy_zero_after_shift(self, small_corpus):
         for traj in small_corpus:
             assert np.max(np.abs(np.linalg.eigvalsh(traj.h_samples)[:, 0])) < 1e-9
+
+
+def _nan_at_end(duration):
+    return lambda t: SZ * (math.nan if t == duration else 1.0)
+
+
+@pytest.fixture(params=["one_slice", "several_slices"])
+def midpoint_slicing(request, monkeypatch):
+    """Run a test with the midpoint stack in one slice, on the calling
+    thread alone, and in several, shared with a worker thread."""
+    if request.param == "several_slices":
+        monkeypatch.setattr(qdyn, "EIGH_SLICE_BYTES", 256)
+    return request.param
+
+
+class TestMidpointWorker:
+    """The midpoint eigh runs on a thread of its own, beside the grid H stack,
+    when the stack spans several slices."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dim, samples", [(16, 1100), (3, 40)], ids=["several_chunks", "one_chunk"])
+    def test_chunked_eigh_matches_one_eigh(self, dim, samples, threads):
+        rng = np.random.default_rng(25)
+        h = np.stack([random_hermitian(rng, dim, 2.0) for _ in range(samples)])
+        slices = _eigh_slices(h)
+        assert (slices.qsize() > 1) == (dim == 16)
+        w, v, errors = np.empty((samples, dim)), np.empty(h.shape, dtype=complex), []
+        helpers = [threading.Thread(target=_eigh_into, args=(h, w, v, slices, errors)) for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        _eigh_into(h, w, v, slices, errors)
+        for helper in helpers:
+            helper.join(timeout=60)
+            assert not helper.is_alive()
+        w_ref, v_ref = np.linalg.eigh(h)
+        assert errors == []
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    def test_worker_only_for_several_slices(self, midpoint_slicing, monkeypatch):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        p = ground_shift(random_smooth_protocol(np.random.default_rng(28), 3))
+        expected = propagate(p, equal_superposition(3), 64).states
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        states = propagate(p, equal_superposition(3), 64).states
+        assert len(started) == (midpoint_slicing == "several_slices")
+        assert states.tobytes() == expected.tobytes()
+
+    def test_threads_end_with_the_call(self, midpoint_slicing):
+        start = threading.active_count()
+        propagate(ground_shift(random_smooth_protocol(np.random.default_rng(26), 3)), equal_superposition(3), 64)
+        assert threading.active_count() == start
+        with pytest.raises(NotFinite):
+            propagate(HamiltonianProtocol(_nan_at_end(1.0), 1.0), equal_superposition(), 64)
+        assert threading.active_count() == start
+
+    def test_propagate_in_forked_child(self, midpoint_slicing):
+        """A process forked after a propagate can propagate: no thread or
+        lock of the parent's call is left behind."""
+        p = ground_shift(random_smooth_protocol(np.random.default_rng(27), 3))
+        s0 = equal_superposition(3)
+        expected = propagate(p, s0, 64).states
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(propagate(p, s0, 64).states))
+        child.start()
+        try:
+            states = results.get(timeout=60)
+            child.join(timeout=60)
+            assert not child.is_alive() and child.exitcode == 0
+        except queue.Empty:
+            pytest.fail("the forked child produced no trajectory within 60 s")
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert np.array_equal(states, expected)
+
+    def test_subnormal_hbar_raises_the_step_phase_error(self, midpoint_slicing):
+        p = HamiltonianProtocol(lambda t: SZ, 1.0, hbar=5e-324)
+        with pytest.raises(NotFinite, match="step phase"):
+            propagate(p, equal_superposition(), 64)
+
+    def test_nan_at_the_last_sample_raises_the_grid_error(self, midpoint_slicing):
+        p = HamiltonianProtocol(_nan_at_end(1.0), 1.0)
+        with pytest.raises(NotFinite, match="H\\(t\\) on the sample grid has non-finite entries"):
+            propagate(p, equal_superposition(), 64)
+
+    def test_step_phase_error_wins_over_a_grid_error(self, midpoint_slicing):
+        p = HamiltonianProtocol(_nan_at_end(1.0), 1.0, hbar=5e-324)
+        with pytest.raises(NotFinite, match="step phase"):
+            propagate(p, equal_superposition(), 64)
+
+    def test_eigh_error_wins_over_a_grid_error(self, midpoint_slicing, monkeypatch):
+        def failing_eigh(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        p = HamiltonianProtocol(_nan_at_end(1.0), 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            propagate(p, equal_superposition(), 64)
+
+    def test_evaluator_exception_on_the_grid_propagates_unchanged(self, midpoint_slicing):
+        def evaluator(t):
+            if t == 1.0:
+                raise KeyError("no H at the end")
+            return SZ
+
+        start = threading.active_count()
+        with pytest.raises(KeyError, match="no H at the end"):
+            propagate(HamiltonianProtocol(evaluator, 1.0), equal_superposition(), 64)
+        assert threading.active_count() == start
