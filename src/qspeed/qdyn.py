@@ -47,6 +47,7 @@ MAX_ARRAY_BYTES = 2**32
 # the midpoint eigh runs in slices of about this many bytes of H, so its
 # temporaries stay small and two threads can share it
 EIGH_SLICE_BYTES = 2**21
+_EVAL_BLOCK = 256  # evaluator samples converted to complex by one np.array call
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +178,13 @@ class HamiltonianProtocol:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
 
         One call of ``stack`` when it is set, else one ``evaluator`` call per
-        sample.  Validates the shape, Hermiticity, and that every entry is
-        finite, once on the whole stack; subclasses may override to batch
-        further per-sample work.
+        sample, in order, with samples converted to complex once per block of
+        256: a matrix the evaluator returns must not change when it is called
+        again, and a block runs to its end before a wrongly shaped sample in it
+        raises :class:`DimensionMismatch`, so an evaluator error later in the
+        block comes first.  Validates the shape, Hermiticity, and that every
+        entry is finite, once on the whole stack; subclasses may override to
+        batch further per-sample work.
         """
         ts = np.asarray(ts, dtype=float)
         if self.stack is not None:
@@ -188,11 +193,22 @@ class HamiltonianProtocol:
                 raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         else:
             stack = np.empty((len(ts), self.dim, self.dim), dtype=complex)
-            for k, t in enumerate(ts.tolist()):
-                h = np.asarray(self.evaluator(t), dtype=complex)
-                if h.shape != stack.shape[1:]:
-                    raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
-                stack[k] = h
+            times = ts.tolist()
+            for lo in range(0, len(times), _EVAL_BLOCK):
+                block = [self.evaluator(t) for t in times[lo : lo + _EVAL_BLOCK]]
+                try:
+                    hs = np.array(block, dtype=complex)
+                except (TypeError, ValueError):
+                    hs = None
+                if hs is not None and hs.shape[1:] == stack.shape[1:]:
+                    stack[lo : lo + len(block)] = hs
+                    continue
+                # ragged or wrongly shaped: convert per sample to name the first bad t
+                for k, (t, h) in enumerate(zip(times[lo:], block), lo):
+                    h = np.asarray(h, dtype=complex)
+                    if h.shape != stack.shape[1:]:
+                        raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
+                    stack[k] = h
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -284,6 +300,25 @@ def _eigh_into(h: np.ndarray, w: np.ndarray, v: np.ndarray, slices: queue.Simple
         errors.append(exc)
 
 
+def _step_states(u: np.ndarray, states: np.ndarray):
+    """Fill ``states[1:]`` in place from ``states[0]``: psi -> U_k psi, or
+    rho -> symmetrize(U_k rho U_k†) operation for operation, through buffers
+    allocated once.  No view of ``u`` outlives the call, so the caller can free it."""
+    if states.ndim == 2:
+        for uk, src, dst in zip(u, states, states[1:]):
+            np.matmul(uk, src, out=dst)
+        return
+    uh = np.conj(np.swapaxes(u, -1, -2))
+    left, step, adj = (np.empty(u.shape[1:], dtype=complex) for _ in range(3))
+    for uk, uhk, src, dst in zip(u, uh, states, states[1:]):
+        np.matmul(uk, src, out=left)
+        np.matmul(left, uhk, out=step)
+        # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
+        np.conjugate(step, out=adj.T)
+        np.add(step, adj, out=adj)
+        np.divide(adj, 2, out=dst)
+
+
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) via eigendecomposition; exactly unitary."""
     w, v = _linalg.eigh_checked(np.asarray(h, dtype=complex), what="step Hamiltonian")
@@ -348,7 +383,8 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     alone, so all N unitaries (and, for densities, their adjoints) are built
     before the loop, from one batched eigendecomposition of the midpoint H
     stack and the stacked matmul that :func:`step_unitary` also uses; the
-    loop only applies them in order.  The protocol is evaluated on the
+    loop only applies them in order, writing each state in place, and they
+    are freed before the observables.  The protocol is evaluated on the
     calling thread, at the midpoints and then at the N+1 samples; when the
     midpoint stack spans more than one ``EIGH_SLICE_BYTES`` slice, a worker
     thread that this call starts and joins runs its eigendecomposition
@@ -409,37 +445,26 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         raise grid_error
 
     pure = s0.is_pure
-    if pure:
-        psis = np.empty((n + 1, d), dtype=complex)
-        psis[0] = s0.amplitudes
-        for k in range(n):
-            psis[k + 1] = u[k] @ psis[k]
-        states = psis
-    else:
-        uh = np.conj(np.swapaxes(u, -1, -2))
-        rhos = np.empty((n + 1, d, d), dtype=complex)
-        rhos[0] = s0.matrix
-        for k in range(n):
-            rhos[k + 1] = _linalg.symmetrize(u[k] @ rhos[k] @ uh[k])
-        states = rhos
-        del uh
+    states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
+    states[0] = s0.amplitudes if pure else s0.matrix
+    _step_states(u, states)
     del u
 
     if pure:
-        me = np.einsum("ti,tij,tj->t", psis.conj(), h_samp, psis).real
-        hpsi = np.einsum("tij,tj->ti", h_samp, psis)
+        me = np.einsum("ti,tij,tj->t", states.conj(), h_samp, states).real
+        hpsi = np.einsum("tij,tj->ti", h_samp, states)
         m2 = np.einsum("ti,ti->t", hpsi.conj(), hpsi).real
-        overlap = np.einsum("i,ti->t", psis[0].conj(), psis)
+        overlap = np.einsum("i,ti->t", states[0].conj(), states)
         # arctan2 of the orthogonal-component norm against |overlap| is the
         # same angle as arccos(|overlap|) but stays accurate near L = 0
-        residual = np.linalg.norm(psis - overlap[:, None] * psis[0][None, :], axis=1)
+        residual = np.linalg.norm(states - overlap[:, None] * states[0][None, :], axis=1)
         bures = np.arctan2(residual, np.abs(overlap))
     else:
-        me = np.einsum("tij,tji->t", rhos, h_samp).real
-        m2 = np.einsum("tij,tjk,tki->t", rhos, h_samp, h_samp).real
+        me = np.einsum("tij,tji->t", states, h_samp).real
+        m2 = np.einsum("tij,tjk,tki->t", states, h_samp, h_samp).real
         overlap = None
-        sqrt0 = _linalg.psd_sqrt(rhos[0], "initial state")
-        bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, rhos))
+        sqrt0 = _linalg.psd_sqrt(states[0], "initial state")
+        bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
     bures[0] = 0.0
 
     # both checks are written to fail on NaN as well
@@ -452,7 +477,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     var = np.clip(var, 0.0, None)
 
     # tr(rho^2), which is |psi|^4 for a state vector
-    purities = np.linalg.norm(psis, axis=1) ** 4 if pure else np.einsum("tij,tji->t", rhos, rhos).real
+    purities = np.linalg.norm(states, axis=1) ** 4 if pure else np.einsum("tij,tji->t", states, states).real
     drift = float(np.max(np.abs(purities - purities[0])))
     if not drift <= 1e-8:
         if not math.isfinite(drift):

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import queue
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,11 +308,21 @@ class TestPropagate:
         with pytest.raises(NotFinite, match="H\\(t\\) on the sample grid has non-finite entries"):
             propagate(p, equal_superposition(), 64)
 
-    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
-    def test_propagate_matches_per_step_reference(self, pure):
+    @pytest.mark.parametrize(
+        "dim, pure",
+        [
+            pytest.param(3, True, id="pure"),
+            pytest.param(3, False, id="mixed"),
+            pytest.param(1, True, id="pure-d1"),
+            pytest.param(1, False, id="mixed-d1"),
+            pytest.param(8, True, id="pure-d8"),
+            pytest.param(8, False, id="mixed-d8"),
+        ],
+    )
+    def test_propagate_matches_per_step_reference(self, dim, pure):
         rng = np.random.default_rng(21)
-        p = ground_shift(random_smooth_protocol(rng, 3))
-        s0 = random_pure_state(rng, 3) if pure else random_mixed_state(rng, 3)
+        p = ground_shift(random_smooth_protocol(rng, dim))
+        s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
         traj = propagate(p, s0, 256)
         states, me, bures = per_step_reference(p, s0, 256)
         assert np.array_equal(traj.states, states)
@@ -347,10 +358,65 @@ class TestPropagate:
             p.matrices([0.0, 0.25, 0.75])
 
     def test_evaluator_stack_matches_np_stack(self):
+        """Samples converted per 256-sample block have the bits of one
+        conversion per sample, for partial, whole and several blocks."""
         p = random_smooth_protocol(np.random.default_rng(24), 4)
-        ts = np.linspace(0.0, p.duration, 33)
-        expected = np.stack([np.asarray(p.evaluator(float(t)), dtype=complex) for t in ts])
-        assert p.matrices(ts).tobytes() == expected.tobytes()
+        for n in (33, 1, 255, 256, 257, 513):
+            ts = np.linspace(0.0, p.duration, n)
+            expected = np.stack([np.asarray(p.evaluator(float(t)), dtype=complex) for t in ts])
+            assert p.matrices(ts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["nested lists", "real array"])
+    def test_evaluator_of_lists_or_real_arrays(self, kind):
+        def h(t):
+            m = np.array([[t, 1.0 - t], [1.0 - t, -t]])
+            return m.tolist() if kind == "nested lists" else m
+
+        ts = np.linspace(0.0, 1.0, 300)
+        expected = np.stack([np.asarray(h(t), dtype=complex) for t in ts.tolist()])
+        assert HamiltonianProtocol(h, 1.0).matrices(ts).tobytes() == expected.tobytes()
+
+    def test_wrong_shape_in_second_block_names_t(self):
+        ts = np.arange(600) / 600
+        bad = float(ts[300])
+        p = HamiltonianProtocol(lambda t: np.eye(3) if t >= bad else SZ, 1.0)
+        with pytest.raises(DimensionMismatch, match=rf"at t = {bad!r} has shape \(3, 3\), expected \(2, 2\)"):
+            p.matrices(ts)
+
+    def test_shape_error_precedes_a_later_unconvertible_sample(self):
+        """Errors come in sample order, as with one conversion per sample,
+        also when the block as a whole fails to convert."""
+        bad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, object()]]
+        p = HamiltonianProtocol(lambda t: np.eye(3) if t < 0.5 else bad, 1.0, dim=2)
+        with pytest.raises(DimensionMismatch, match=r"at t = 0\.0 has shape \(3, 3\)"):
+            p.matrices([0.0, 0.75])
+        p = HamiltonianProtocol(lambda t: SZ if t < 0.5 else bad, 1.0)
+        with pytest.raises(TypeError):
+            p.matrices([0.0, 0.75])
+
+    def test_vector_sample_is_not_broadcast(self):
+        """A (d,) sample would fill a (d, d) slot by broadcasting; it is refused."""
+        p = HamiltonianProtocol(lambda t: SZ if t < 0.5 else np.ones(2), 1.0)
+        with pytest.raises(DimensionMismatch, match=r"at t = 0\.75 has shape \(2,\), expected \(2, 2\)"):
+            p.matrices([0.0, 0.25, 0.75])
+        p = HamiltonianProtocol(lambda t: np.ones(2), 1.0, dim=2)
+        with pytest.raises(DimensionMismatch, match=r"at t = 0\.0 has shape \(2,\)"):
+            p.matrices([0.0, 0.5])
+
+    def test_mixed_run_memory_peak(self):
+        """The step loop's views of the unitary stacks end with it, so a d = 16
+        mixed run peaks at no more than five (N+1, d, d) complex arrays."""
+        n, d = 2048, 16
+        rng = np.random.default_rng(26)
+        p = ground_shift(random_smooth_protocol(rng, d))
+        s0 = random_mixed_state(rng, d)
+        tracemalloc.start()
+        try:
+            propagate(p, s0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (n + 1) * d * d * 16
 
     def test_stack_of_wrong_length_rejected(self):
         p = HamiltonianProtocol(None, 1.0, dim=2, stack=lambda ts: np.stack([SZ] * (len(ts) + 1)))
