@@ -38,14 +38,15 @@ __all__ = [
     "main",
 ]
 
-# every protocol kind with the names its ``params`` accept
+# every protocol kind with the names its ``params`` accept, each mapped to its
+# default; None marks a required param
 KIND_PARAMS = {
-    "constant": ("matrix",),
-    "piecewise_const": ("segments",),
-    "rabi_qubit": ("omega0", "amplitude", "drive_frequency"),
-    "landau_zener": ("sweep_rate", "gap"),
-    "modulated_oscillator": ("omega0", "pump_rate", "squeeze"),
-    "matrix_samples": ("samples",),
+    "constant": {"matrix": None},
+    "piecewise_const": {"segments": None},
+    "rabi_qubit": {"omega0": None, "amplitude": None, "drive_frequency": None},
+    "landau_zener": {"sweep_rate": None, "gap": None},
+    "modulated_oscillator": {"omega0": None, "pump_rate": None, "squeeze": 0.0},
+    "matrix_samples": {"samples": None},
 }
 
 LEAKAGE_LIMIT = 1e-6
@@ -108,8 +109,8 @@ class ProtocolConfig:
         if not isinstance(steps, int) or steps < 16:
             raise BadConfig("field 'steps' invalid: must be an integer >= 16")
         gsm = raw.get("ground_shift_mode", "instantaneous")
-        if gsm not in ("instantaneous", "global"):
-            raise BadConfig("field 'ground_shift_mode' invalid: must be 'instantaneous' or 'global'")
+        if gsm not in qdyn.GROUND_SHIFT_MODES:
+            raise BadConfig(f"field 'ground_shift_mode' invalid: must be one of {qdyn.GROUND_SHIFT_MODES}")
         # the global shift scans its own grid, which then sets the floor
         scan = qdyn.GLOBAL_SCAN_SAMPLES if gsm == "global" else 0
         try:
@@ -187,20 +188,42 @@ def _hamiltonian(raw, dim: int, where: str) -> np.ndarray:
     return _field_checked(where, _linalg.require_hermitian, decode_matrix(raw, dim, where))
 
 
-def _param(params: dict, name: str, where: str) -> float:
-    if name not in params:
-        raise BadConfig(f"{where}: missing required param '{name}'")
-    return _finite(params[name], f"params.{name}")
+def _numbers(cfg: ProtocolConfig) -> list[float]:
+    """The kind's number params in ``KIND_PARAMS`` order, defaults filled in."""
+    vals = []
+    for name, default in KIND_PARAMS[cfg.kind].items():
+        if name not in cfg.params and default is None:
+            raise BadConfig(f"{cfg.kind}: missing required param '{name}'")
+        vals.append(_finite(cfg.params.get(name, default), f"params.{name}"))
+    return vals
+
+
+def _overflow(cfg: ProtocolConfig, i: int, formula: str) -> BadConfig:
+    """BadConfig: ``formula`` of the kind's ``i``-th param (written ``{}``) overflows a float."""
+    name = list(KIND_PARAMS[cfg.kind])[i]
+    return BadConfig(f"field 'params.{name}' invalid: {formula.format(name)} overflows a float")
+
+
+def _table(cfg: ProtocolConfig, key: str, number: str, least: int) -> tuple[list[float], np.ndarray]:
+    """The numbers and the stacked Hermitian matrices of the {number, matrix} rows in ``key``."""
+    rows = cfg.params.get(key)
+    if not isinstance(rows, list) or len(rows) < least:
+        raise BadConfig(f"params.{key}: must be a list of at least {least} {{{number}, matrix}} objects")
+    nums, mats = [], []
+    for i, row in enumerate(rows):
+        where = f"params.{key}[{i}]"
+        if not isinstance(row, dict) or number not in row or "matrix" not in row:
+            raise BadConfig(f"{where}: needs '{number}' and 'matrix'")
+        nums.append(_finite(row[number], f"{where}.{number}"))
+        mats.append(_hamiltonian(row["matrix"], cfg.dim, f"{where}.matrix"))
+    return nums, np.stack(mats)
 
 
 # ---------------------------------------------------------------------------
 # Protocol construction
 
-
-def _pauli():
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return sz, sx
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -219,63 +242,48 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         names = ", ".join(sorted(f"'params.{name}'" for name in unknown))
         accepted = ", ".join(KIND_PARAMS[kind])
         raise BadConfig(f"unknown field(s) {names} for kind '{kind}', which accepts {accepted}")
+    if kind in ("rabi_qubit", "landau_zener") and d != 2:
+        raise BadConfig(f"{kind} requires dim = 2")
 
     if kind == "constant":
         h = _hamiltonian(cfg.params.get("matrix"), d, "params.matrix")
         stack = lambda ts: np.repeat(h[None], len(ts), axis=0)
 
     elif kind == "piecewise_const":
-        segs = cfg.params.get("segments")
-        if not isinstance(segs, list) or not segs:
-            raise BadConfig("params.segments: must be a non-empty list")
-        mats, edges = [], [0.0]
-        for i, seg in enumerate(segs):
-            if not isinstance(seg, dict) or "matrix" not in seg or "duration" not in seg:
-                raise BadConfig(f"params.segments[{i}]: needs 'matrix' and 'duration'")
-            sd = _finite(seg["duration"], f"params.segments[{i}].duration")
+        durations, table = _table(cfg, "segments", "duration", 1)
+        edges = [0.0]
+        for i, sd in enumerate(durations):
             if sd <= 0:
                 raise BadConfig(f"params.segments[{i}].duration: must be > 0")
-            mats.append(_hamiltonian(seg["matrix"], d, f"params.segments[{i}].matrix"))
             edges.append(edges[-1] + sd)
         if abs(edges[-1] - tau) > 1e-9 * max(1.0, tau):
             raise BadConfig(f"params.segments: durations sum to {edges[-1]:g}, expected {tau:g}")
-        edges_arr, table = np.array(edges), np.stack(mats)
+        edges_arr = np.array(edges)
 
         def stack(ts):
             # segment i holds on [edges[i], edges[i + 1]); the last one also past its end
-            return table[np.clip(np.searchsorted(edges_arr, ts, side="right") - 1, 0, len(mats) - 1)]
+            return table[np.clip(np.searchsorted(edges_arr, ts, side="right") - 1, 0, len(table) - 1)]
 
     elif kind == "rabi_qubit":
-        if d != 2:
-            raise BadConfig("rabi_qubit requires dim = 2")
-        w0 = _param(cfg.params, "omega0", "rabi_qubit")
-        amp = _param(cfg.params, "amplitude", "rabi_qubit")
-        wd = _param(cfg.params, "drive_frequency", "rabi_qubit")
+        w0, amp, wd = _numbers(cfg)
         if not math.isfinite(wd * tau):
-            raise BadConfig("field 'params.drive_frequency' invalid: drive_frequency * duration overflows a float")
-        sz, sx = _pauli()
+            raise _overflow(cfg, 2, "{} * duration")
 
         def stack(ts):
             # math.cos, as the per-t formula had it: numpy's vectorized cos
             # is not bound to round like the C library's on every platform
-            return (w0 / 2) * sz + np.array([amp * math.cos(wd * t) for t in ts.tolist()])[:, None, None] * sx
+            return (w0 / 2) * SZ + np.array([amp * math.cos(wd * t) for t in ts.tolist()])[:, None, None] * SX
 
     elif kind == "landau_zener":
-        if d != 2:
-            raise BadConfig("landau_zener requires dim = 2")
-        v = _param(cfg.params, "sweep_rate", "landau_zener")
-        gap = _param(cfg.params, "gap", "landau_zener")
-        sz, sx = _pauli()
-        stack = lambda ts: (v * (ts - tau / 2) / 2)[:, None, None] * sz + (gap / 2) * sx
+        v, gap = _numbers(cfg)
+        stack = lambda ts: (v * (ts - tau / 2) / 2)[:, None, None] * SZ + (gap / 2) * SX
 
     elif kind == "modulated_oscillator":
         if d < 3:
             raise BadConfig("modulated_oscillator requires dim >= 3: leakage is read from the top two levels")
-        w0 = _param(cfg.params, "omega0", "modulated_oscillator")
-        gamma = _param(cfg.params, "pump_rate", "modulated_oscillator")
+        w0, gamma, lam = _numbers(cfg)
         if gamma * tau > math.log(sys.float_info.max):
-            raise BadConfig("field 'params.pump_rate' invalid: exp(pump_rate * duration) overflows a float")
-        lam = _finite(cfg.params.get("squeeze", 0.0), "params.squeeze")
+            raise _overflow(cfg, 1, "exp({} * duration)")
         number_op = np.diag(np.arange(d, dtype=float)).astype(complex)
         a = _ladder(d)
         squeeze_op = a @ a + (a @ a).conj().T
@@ -286,21 +294,12 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
             return coeff[:, None, None] * number_op + lam * squeeze_op
 
     elif kind == "matrix_samples":
-        samples = cfg.params.get("samples")
-        if not isinstance(samples, list) or len(samples) < 2:
-            raise BadConfig("params.samples: must be a list of at least 2 {t, matrix} objects")
-        knots, mats = [], []
-        for i, s in enumerate(samples):
-            if not isinstance(s, dict) or "t" not in s or "matrix" not in s:
-                raise BadConfig(f"params.samples[{i}]: needs 't' and 'matrix'")
-            knots.append(_finite(s["t"], f"params.samples[{i}].t"))
-            mats.append(_hamiltonian(s["matrix"], d, f"params.samples[{i}].matrix"))
+        knots, table = _table(cfg, "samples", "t", 2)
         knots_arr = np.array(knots)
         if np.any(np.diff(knots_arr) <= 0):
             raise BadConfig("params.samples: t values must be strictly increasing")
         if knots_arr[0] > 0.0 or knots_arr[-1] < tau:
             raise BadConfig(f"params.samples: t values must cover [0, {tau:g}]")
-        table = np.stack(mats)
 
         def stack(ts):
             # linear interpolation on the interval [knots[i], knots[i + 1]] holding t

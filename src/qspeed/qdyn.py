@@ -15,7 +15,7 @@ import math
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
 
 NORM_TOL = 1e-6
 GLOBAL_SCAN_SAMPLES = 1025
+GROUND_SHIFT_MODES = ("instantaneous", "global")
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
 MAX_ARRAY_BYTES = 2**32
@@ -228,10 +229,7 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
         return stack - self.global_offset * eye
 
 
-def ground_shift(
-    p: HamiltonianProtocol,
-    mode: Literal["instantaneous", "global"] = "instantaneous",
-) -> HamiltonianProtocol:
+def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> HamiltonianProtocol:
     """Shift the protocol so mean energies are measured above the ground state.
 
     ``instantaneous`` (default) subtracts the lowest eigenvalue of H(t) at each
@@ -242,14 +240,13 @@ def ground_shift(
     A global scan whose (``GLOBAL_SCAN_SAMPLES``, dim, dim) array would pass
     ``MAX_ARRAY_BYTES`` raises :class:`DomainError` before H is evaluated.
     """
-    if mode == "instantaneous":
-        offset = None
-    elif mode == "global":
+    if mode not in GROUND_SHIFT_MODES:
+        raise DomainError(f"unknown ground shift mode {mode!r}")
+    offset = None
+    if mode == "global":
         require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim)
         ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
         offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
-    else:
-        raise DomainError(f"unknown ground shift mode {mode!r}")
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
     return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, stack=p.matrices, global_offset=offset)
@@ -415,8 +412,8 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     # evaluation; this thread takes the slices left when the grid is done.
     # A stack of one slice gets no worker: starting a thread costs more than
     # the overlap saves, and how long it takes varies from run to run.
-    # Midpoint errors and the step-phase overflow come before a grid error,
-    # in the order a sequential run would raise them.
+    # Midpoint errors and the step-phase overflow, raised in the finally,
+    # replace a grid error, in the order a sequential run would raise them.
     mid = p.matrices(times[:-1] + dt / 2)
     w = np.empty((n, d))
     v = np.empty((n, d, d), dtype=complex)
@@ -426,23 +423,17 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     if slices.qsize() > 1:
         worker = threading.Thread(target=_eigh_into, args=(mid, w, v, slices, eigh_errors))
         worker.start()
-    grid_error = None
     try:
-        try:
-            h_samp = p.matrices(times)
-        except Exception as exc:
-            grid_error = exc
-        _eigh_into(mid, w, v, slices, eigh_errors)
+        h_samp = p.matrices(times)
     finally:
+        _eigh_into(mid, w, v, slices, eigh_errors)
         if worker is not None:
             worker.join()
-    del mid
-    if eigh_errors:
-        raise eigh_errors[0]
-    u = _unitaries(w, v, dt, p.hbar)
-    del w, v
-    if grid_error is not None:
-        raise grid_error
+        del mid
+        if eigh_errors:
+            raise eigh_errors[0]
+        u = _unitaries(w, v, dt, p.hbar)
+        del w, v
 
     pure = s0.is_pure
     states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
@@ -467,12 +458,13 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
     bures[0] = 0.0
 
-    # both checks are written to fail on NaN as well
-    var = m2 - me**2
+    # both checks are written to fail on NaN as well; an overflow is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = m2 - me**2
     lowest = float(var.min())
     if not lowest >= -1e-9 * max(1.0, float(np.abs(m2).max())):
         if not math.isfinite(lowest):
-            raise NotFinite("energy variance is non-finite along the trajectory")
+            raise NotFinite("energy variance is non-finite along the trajectory: <H^2> overflows a float")
         raise NotPositive(f"energy variance dipped to {lowest:.3e} along the trajectory")
     var = np.clip(var, 0.0, None)
 

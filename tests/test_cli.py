@@ -53,6 +53,11 @@ OSC = {
 }
 
 
+Z2 = [[0, 0], [0, 1]]
+PWC = {**BENCH, "kind": "piecewise_const"}
+SAMPLES = {**BENCH, "kind": "matrix_samples"}
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -291,6 +296,17 @@ class TestRunCommand:
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "constant",')
+        assert main(["run", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BENCH, "steps": 64})
+        assert main(["run", cfg, "-o", str(tmp_path / "missing" / "out.json")]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
     def test_violating_run_exit_4(self, tmp_path):
         raw = {**BENCH, "initial_state": {"amplitudes": [math.sqrt(0.75), 0.5]}}
         cfg = write_config(tmp_path, raw)
@@ -380,6 +396,15 @@ class TestRunCommand:
             ({**BENCH, "initial_state": {"matrix": [[1, 0], [0, 1]]}}, "initial_state.matrix"),
             ({**BENCH, "params": {"matrix": [[0, 1], [0, 0]]}}, "params.matrix"),
             ({**BENCH, "ground_shift_mod": "global"}, "ground_shift_mod"),
+            (
+                {
+                    **BENCH,
+                    "kind": "rabi_qubit",
+                    "duration": 10.0,
+                    "params": {"omega0": 1.0, "amplitude": 0.5, "drive_frequency": 1e308},
+                },
+                "params.drive_frequency",
+            ),
         ],
         ids=[
             "squeeze_str",
@@ -395,12 +420,73 @@ class TestRunCommand:
             "density_matrix_trace_2",
             "matrix_non_hermitian",
             "unknown_top_level_key",
+            "drive_phase_overflow",
         ],
     )
     def test_bad_param_exit_2_names_field(self, tmp_path, capsys, doc, field):
         out = tmp_path / "out.json"
         assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({**BENCH, "params": {"matrix": [["x", 0], [0, 1]]}}, "params.matrix[0][0]"),
+            ({**PWC, "params": {"segments": {}}}, "params.segments"),
+            ({**PWC, "params": {"segments": []}}, "params.segments"),
+            ({**PWC, "params": {"segments": ["x"]}}, "params.segments[0]"),
+            ({**PWC, "params": {"segments": [{"matrix": Z2}]}}, "params.segments[0]"),
+            (
+                {**PWC, "params": {"segments": [{"matrix": Z2, "duration": 0}, {"matrix": Z2, "duration": math.pi}]}},
+                "params.segments[0].duration",
+            ),
+            (
+                {**PWC, "params": {"segments": [{"matrix": Z2, "duration": math.pi}, {"matrix": Z2, "duration": -1}]}},
+                "params.segments[1].duration",
+            ),
+            ({**SAMPLES, "params": {"samples": {}}}, "params.samples"),
+            ({**SAMPLES, "params": {"samples": [{"t": 0.0, "matrix": Z2}]}}, "params.samples"),
+            ({**SAMPLES, "params": {"samples": [{"t": 0.0, "matrix": Z2}, {"t": math.pi}]}}, "params.samples[1]"),
+            ({**SAMPLES, "params": {"samples": [{"t": 0.0, "matrix": Z2}, 5]}}, "params.samples[1]"),
+            (
+                {**SAMPLES, "params": {"samples": [{"t": t, "matrix": Z2} for t in (0.0, 2.0, 2.0, math.pi)]}},
+                "params.samples",
+            ),
+            (
+                {**SAMPLES, "params": {"samples": [{"t": t, "matrix": Z2} for t in (0.0, math.pi, 1.0, 4.0)]}},
+                "params.samples",
+            ),
+            ({**BENCH, "kind": "rabi_qubit", "dim": 3, "params": {}}, "rabi_qubit requires dim = 2"),
+            ({**BENCH, "kind": "landau_zener", "dim": 3, "params": {}}, "landau_zener requires dim = 2"),
+            ({**BENCH, "kind": "rabi_qubit", "params": {"omega0": 1.0, "amplitude": 0.5}}, "'drive_frequency'"),
+            ({**BENCH, "kind": "landau_zener", "params": {"gap": 1.0}}, "'sweep_rate'"),
+        ],
+        ids=[
+            "entry_list",
+            "segments_not_list",
+            "segments_empty",
+            "segment_not_object",
+            "segment_no_duration",
+            "segment_duration_zero",
+            "segment_duration_negative",
+            "samples_not_list",
+            "samples_one",
+            "sample_no_matrix",
+            "sample_not_object",
+            "sample_t_repeated",
+            "sample_t_decreasing",
+            "rabi_dim_3",
+            "landau_zener_dim_3",
+            "rabi_missing_param",
+            "landau_zener_missing_param",
+        ],
+    )
+    def test_bad_kind_input_exit_2_names_path(self, tmp_path, capsys, doc, path):
+        """The message names the path itself, not an entry below it."""
+        out = tmp_path / "out.json"
+        assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
+        assert re.search(re.escape(path) + r"(?![\[.\w])", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -522,6 +608,12 @@ class TestSweepCommand:
     def test_unresolvable_param_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, OSC)
         assert main(["sweep", cfg, "--param", "params.nope", "--values", "1,2"]) == 2
+
+    @pytest.mark.parametrize("param", ["params.nope.deeper", "params.omega0.x"], ids=["missing_key", "number"])
+    def test_path_through_non_object_exit_2_names_it(self, tmp_path, capsys, param):
+        cfg = write_config(tmp_path, OSC)
+        assert main(["sweep", cfg, "--param", param, "--values", "1,2"]) == 2
+        assert f"'{param}'" in capsys.readouterr().err
 
     def test_bad_values_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, OSC)

@@ -206,6 +206,20 @@ class TestDistributionTrack:
         with pytest.raises(GridMismatch, match="parameter_values"):
             DistributionTrack(np.linspace(0.0, 1.0, 3), np.array([]), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize(
+        "grid, dens, match",
+        [
+            (np.linspace(0.0, 1.0, 4).reshape(2, 2), np.ones((1, 4)) / 1.0, "1-D"),
+            (np.array([0.0]), np.ones((1, 1)), "at least 2 points"),
+            (np.array([0.0, 1.0, 3.0]), np.ones((1, 3)) / 3.0, "uniform"),
+            (np.linspace(0.0, 1.0, 3), np.ones((1, 4)), r"densities shape \(1, 4\)"),
+        ],
+        ids=["grid_2d", "grid_one_point", "grid_non_uniform", "densities_shape"],
+    )
+    def test_grid_shape_is_a_grid_mismatch(self, grid, dens, match):
+        with pytest.raises(GridMismatch, match=match):
+            DistributionTrack(grid, np.array([0.0]), dens)
+
 
 class TestFisherInformation:
     def test_inverse_width_sigma_2(self):
@@ -326,6 +340,10 @@ class TestBuresIncrement:
         rho = random_mixed_state(rng, 2)
         with pytest.raises(NotHermitian):
             bures_increment(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_wrongly_shaped_perturbation(self):
+        with pytest.raises(DimensionMismatch, match=r"drho shape \(3, 3\)"):
+            bures_increment(QuantumState.mixed(np.eye(2) / 2), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_perturbation(self, bad):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_hermitian
 from qspeed import HamiltonianProtocol, audit_trajectory, build_report, ground_shift, propagate
-from qspeed.cli import ProtocolConfig, _ladder, _pauli, build_protocol, decode_matrix, initial_state
+from qspeed.cli import SX, SZ, ProtocolConfig, _ladder, build_protocol, decode_matrix, initial_state
 
 STEPS = 2048
 SCAN = 1024  # ground_shift's default global scan
@@ -105,12 +105,10 @@ def reference_evaluator(cfg: ProtocolConfig):
         return evaluator
     if kind == "rabi_qubit":
         w0, amp, wd = (float(params[k]) for k in ("omega0", "amplitude", "drive_frequency"))
-        sz, sx = _pauli()
-        return lambda t: (w0 / 2) * sz + amp * math.cos(wd * t) * sx
+        return lambda t: (w0 / 2) * SZ + amp * math.cos(wd * t) * SX
     if kind == "landau_zener":
         v, gap = float(params["sweep_rate"]), float(params["gap"])
-        sz, sx = _pauli()
-        return lambda t: (v * (t - tau / 2) / 2) * sz + (gap / 2) * sx
+        return lambda t: (v * (t - tau / 2) / 2) * SZ + (gap / 2) * SX
     if kind == "modulated_oscillator":
         w0, gamma, lam = (float(params[k]) for k in ("omega0", "pump_rate", "squeeze"))
         number_op = np.diag(np.arange(d, dtype=float)).astype(complex)

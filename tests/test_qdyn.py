@@ -309,6 +309,15 @@ class TestPropagate:
             propagate(p, equal_superposition(), 64)
 
     @pytest.mark.parametrize(
+        "s0", [QuantumState.pure([1.0, 0.0]), QuantumState.mixed(np.diag([0.7, 0.3]))], ids=["pure", "mixed"]
+    )
+    def test_overflowing_energy_square_raises_not_finite(self, s0):
+        # <H^2> ~ 1e400 overflows; the RuntimeWarning is an error in this suite
+        p = HamiltonianProtocol(lambda t: 1e200 * SX, 1.0)
+        with pytest.raises(NotFinite, match="<H\\^2> overflows a float"):
+            propagate(p, s0, 64)
+
+    @pytest.mark.parametrize(
         "dim, pure",
         [
             pytest.param(3, True, id="pure"),
