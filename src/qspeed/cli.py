@@ -85,57 +85,48 @@ class ProtocolConfig:
         if unknown:
             raise BadConfig(f"unknown field(s) {', '.join(sorted(map(repr, unknown)))}")
 
-        def need(name, types, check=None, why=""):
-            if name not in raw:
+        def read(name, default=None, ok=lambda val: True, why=""):
+            """``raw[name]``, or ``default`` when absent (None: required), refused unless ``ok``."""
+            if name not in raw and default is None:
                 raise BadConfig(f"missing required field '{name}'")
-            val = raw[name]
-            if not isinstance(val, types):
-                raise BadConfig(f"field '{name}' has wrong type {type(val).__name__}")
-            if check is not None and not check(val):
+            val = raw.get(name, default)
+            if not ok(val):
                 raise BadConfig(f"field '{name}' invalid: {why}")
             return val
 
         def positive(name, default=None):
-            val = _finite(need(name, object) if default is None else raw.get(name, default), name)
-            if val <= 0:
-                raise BadConfig(f"field '{name}' invalid: must be a finite number > 0")
-            return val
+            return float(read(name, default, lambda val: _finite(val, name) > 0, "must be a finite number > 0"))
 
-        kind = need("kind", str, lambda k: k in KIND_PARAMS, f"must be one of {tuple(KIND_PARAMS)}")
-        dim = need("dim", int, lambda d: d >= 2, "must be an integer >= 2")
+        def choice(name, default, options):
+            why = f"must be one of {tuple(options)}"
+            return read(name, default, lambda val: isinstance(val, str) and val in options, why)
+
+        kind = choice("kind", None, KIND_PARAMS)
+        dim = read("dim", None, lambda d: isinstance(d, int) and d >= 2, "must be an integer >= 2")
         duration = positive("duration")
         hbar = positive("hbar", 1.0)
-        steps = raw.get("steps", 2048)
-        if not isinstance(steps, int) or steps < 16:
-            raise BadConfig("field 'steps' invalid: must be an integer >= 16")
-        gsm = raw.get("ground_shift_mode", "instantaneous")
-        if gsm not in qdyn.GROUND_SHIFT_MODES:
-            raise BadConfig(f"field 'ground_shift_mode' invalid: must be one of {qdyn.GROUND_SHIFT_MODES}")
+        steps = read("steps", 2048, lambda n: isinstance(n, int) and n >= 16, "must be an integer >= 16")
+        gsm = choice("ground_shift_mode", "instantaneous", qdyn.GROUND_SHIFT_MODES)
         # the global shift scans its own grid, which then sets the floor
         scan = qdyn.GLOBAL_SCAN_SAMPLES if gsm == "global" else 0
         try:
             qdyn.require_grid_fits(max(steps + 1, scan), dim)
         except DomainError as exc:
             raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
-        ml_mode = raw.get("ml_mode", "linear")
-        if not isinstance(ml_mode, str) or ml_mode not in bounds.ML_MODES:
-            raise BadConfig(f"field 'ml_mode' invalid: must be one of {tuple(bounds.ML_MODES)}")
+        ml_mode = choice("ml_mode", "linear", bounds.ML_MODES)
         tol = positive("audit_tolerance", 1e-6)
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise BadConfig("field 'params' has wrong type")
         return cls(
             kind=kind,
             dim=dim,
             duration=duration,
-            params=params,
-            initial_state=need("initial_state", object),
+            params=read("params", {}, lambda p: isinstance(p, dict), "must be an object"),
+            initial_state=read("initial_state"),
             hbar=hbar,
             steps=steps,
             ground_shift_mode=gsm,
             ml_mode=ml_mode,
             audit_tolerance=tol,
-            label=str(raw.get("label", kind)),
+            label=str(read("label", kind)),
         )
 
 
@@ -152,10 +143,8 @@ def load_config(path: str) -> dict:
 def _finite(val, field: str) -> float:
     """``val`` as a float; BadConfig naming ``field`` unless it is a finite
     JSON number (booleans are not numbers here)."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise BadConfig(f"field '{field}' has wrong type {type(val).__name__}")
-    # false for NaN, infinities and integers too large for a float
-    if not -sys.float_info.max <= val <= sys.float_info.max:
+    # the abs test is false for NaN, infinities and integers too large for a float
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
         raise BadConfig(f"field '{field}' invalid: must be a finite number")
     return float(val)
 
@@ -296,15 +285,18 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     elif kind == "matrix_samples":
         knots, table = _table(cfg, "samples", "t", 2)
         knots_arr = np.array(knots)
-        if np.any(np.diff(knots_arr) <= 0):
-            raise BadConfig("params.samples: t values must be strictly increasing")
+        with np.errstate(over="ignore"):
+            gaps = np.diff(knots_arr)
+        # a spacing that overflows to inf would turn the weights below into NaN
+        if not np.all((gaps > 0) & np.isfinite(gaps)):
+            raise BadConfig("params.samples: t values must be strictly increasing, each spacing a finite float")
         if knots_arr[0] > 0.0 or knots_arr[-1] < tau:
             raise BadConfig(f"params.samples: t values must cover [0, {tau:g}]")
 
         def stack(ts):
             # linear interpolation on the interval [knots[i], knots[i + 1]] holding t
             i = np.clip(np.searchsorted(knots_arr, ts, side="right") - 1, 0, len(knots_arr) - 2)
-            w = ((ts - knots_arr[i]) / (knots_arr[i + 1] - knots_arr[i]))[:, None, None]
+            w = ((ts - knots_arr[i]) / gaps[i])[:, None, None]
             return (1.0 - w) * table[i] + w * table[i + 1]
 
     else:  # pragma: no cover - guarded by ProtocolConfig
@@ -448,15 +440,13 @@ def run_command(config_path: str, output: str | None = None) -> int:
 
 
 def _set_path(raw: dict, path: str, value):
-    parts = path.split(".")
+    *parents, last = path.split(".")
     node = raw
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise BadConfig(f"sweep parameter path '{path}' does not resolve in the config")
-        node = node[p]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise BadConfig(f"sweep parameter path '{path}' does not resolve in the config")
-    node[parts[-1]] = value
+    node[last] = value
 
 
 SWEEP_HEADER = ["param_value", *bounds.REPORT_SCALARS, "slack_min", "audit_passed"]

@@ -222,6 +222,13 @@ class TestProtocolKinds:
         with pytest.raises(BadConfig, match="cover"):
             build_protocol(cfg)
 
+    def test_matrix_samples_widest_finite_spacing(self):
+        """Knots 1.6e308 apart interpolate without an overflow warning."""
+        samples = [{"t": -8e307, "matrix": [[0, 0], [0, 0]]}, {"t": 8e307, "matrix": [[0, 2e-300], [2e-300, 0]]}]
+        cfg = ProtocolConfig.from_dict({**SAMPLES, "duration": 1.0, "params": {"samples": samples}})
+        h = build_protocol(cfg).matrices(np.array([0.0, 1.0]))
+        assert np.allclose(h[:, 0, 1], 1e-300, rtol=1e-12, atol=0)
+
     def test_matrix_samples_rejects_non_hermitian(self):
         cfg = ProtocolConfig.from_dict(
             {
@@ -351,6 +358,19 @@ class TestRunCommand:
             ("hbar", "true"),
             ("duration", "true"),
             ("duration", "1" + "0" * 400),
+            ("dim", '"2"'),
+            ("dim", "2.5"),
+            ("dim", "1"),
+            ("dim", "true"),
+            ("steps", "2048.0"),
+            ("steps", "true"),
+            ("steps", "8"),
+            ("kind", "3"),
+            ("ground_shift_mode", '["global"]'),
+            ("ground_shift_mode", "null"),
+            ("ml_mode", "null"),
+            ("params", "[]"),
+            ("params", '"x"'),
         ],
         ids=lambda v: v if len(v) < 20 else "huge_int",
     )
@@ -360,6 +380,14 @@ class TestRunCommand:
         assert main(["run", str(path), "-o", str(tmp_path / "out.json")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("field", ["kind", "dim", "duration", "initial_state"])
+    def test_missing_required_field_exit_2_names_it(self, tmp_path, capsys, field):
+        out = tmp_path / "out.json"
+        doc = {k: v for k, v in BENCH.items() if k != field}
+        assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
+        assert f"missing required field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -457,6 +485,14 @@ class TestRunCommand:
                 {**SAMPLES, "params": {"samples": [{"t": t, "matrix": Z2} for t in (0.0, math.pi, 1.0, 4.0)]}},
                 "params.samples",
             ),
+            (
+                {
+                    **SAMPLES,
+                    "duration": 1,
+                    "params": {"samples": [{"t": t, "matrix": Z2} for t in (-1.7e308, 1.7e308)]},
+                },
+                "params.samples",
+            ),
             ({**BENCH, "kind": "rabi_qubit", "dim": 3, "params": {}}, "rabi_qubit requires dim = 2"),
             ({**BENCH, "kind": "landau_zener", "dim": 3, "params": {}}, "landau_zener requires dim = 2"),
             ({**BENCH, "kind": "rabi_qubit", "params": {"omega0": 1.0, "amplitude": 0.5}}, "'drive_frequency'"),
@@ -476,6 +512,7 @@ class TestRunCommand:
             "sample_not_object",
             "sample_t_repeated",
             "sample_t_decreasing",
+            "sample_t_spacing_overflows",
             "rabi_dim_3",
             "landau_zener_dim_3",
             "rabi_missing_param",

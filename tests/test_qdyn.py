@@ -318,6 +318,21 @@ class TestPropagate:
             propagate(p, s0, 64)
 
     @pytest.mark.parametrize(
+        "s0, message",
+        [
+            (QuantumState.pure([0.0, 1.0]), "energy variance dipped"),
+            (equal_superposition(), "purity drifted .* not unitary"),
+        ],
+        ids=["variance", "purity"],
+    )
+    def test_non_unitary_steps_raise_not_positive(self, monkeypatch, s0, message):
+        """Steps that grow the norm by 1e-6 are refused, not reported as a trajectory."""
+        monkeypatch.setattr(qdyn, "_unitaries", lambda *args: _unitaries(*args) * (1 + 1e-6))
+        p = HamiltonianProtocol(lambda t: np.diag([0.0, 1.0]).astype(complex), 1.0)
+        with pytest.raises(NotPositive, match=message):
+            propagate(p, s0, 64)
+
+    @pytest.mark.parametrize(
         "dim, pure",
         [
             pytest.param(3, True, id="pure"),

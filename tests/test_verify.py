@@ -185,6 +185,10 @@ class TestAuditTrajectory:
         for c in report.checks:
             assert c.passed == (c.worst_margin >= 0.0)
 
+    def test_unknown_check_name_raises_key_error(self, saturating_run):
+        with pytest.raises(KeyError, match="nope"):
+            audit_trajectory(saturating_run).check("nope")
+
     def test_report_serialization(self, saturating_run):
         doc = audit_trajectory(saturating_run).to_dict()
         assert set(doc) == {"checks", "tolerance", "trajectory_label", "skipped"}
