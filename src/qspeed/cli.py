@@ -81,9 +81,7 @@ class ProtocolConfig:
     def from_dict(cls, raw: dict) -> "ProtocolConfig":
         if not isinstance(raw, dict):
             raise BadConfig("config must be a JSON object")
-        unknown = raw.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise BadConfig(f"unknown field(s) {', '.join(sorted(map(repr, unknown)))}")
+        _refuse_unknown(raw, [f.name for f in fields(cls)])
 
         def read(name, default=None, ok=lambda val: True, why=""):
             """``raw[name]``, or ``default`` when absent (None: required), refused unless ``ok``."""
@@ -126,7 +124,7 @@ class ProtocolConfig:
             ground_shift_mode=gsm,
             ml_mode=ml_mode,
             audit_tolerance=tol,
-            label=str(read("label", kind)),
+            label=read("label", kind, lambda val: isinstance(val, str), "must be a string"),
         )
 
 
@@ -147,6 +145,13 @@ def _finite(val, field: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
         raise BadConfig(f"field '{field}' invalid: must be a finite number")
     return float(val)
+
+
+def _refuse_unknown(obj: dict, accepted, prefix: str = "", context: str = ""):
+    """BadConfig naming, by its full path ``prefix + key``, each key of ``obj`` not in ``accepted``."""
+    unknown = obj.keys() - set(accepted)
+    if unknown:
+        raise BadConfig(f"unknown field(s) {', '.join(sorted(repr(prefix + k) for k in unknown))}{context}")
 
 
 def _decode_entry(entry, where: str) -> complex:
@@ -201,6 +206,8 @@ def _table(cfg: ProtocolConfig, key: str, number: str, least: int) -> tuple[list
     nums, mats = [], []
     for i, row in enumerate(rows):
         where = f"params.{key}[{i}]"
+        if isinstance(row, dict):
+            _refuse_unknown(row, (number, "matrix"), f"{where}.")
         if not isinstance(row, dict) or number not in row or "matrix" not in row:
             raise BadConfig(f"{where}: needs '{number}' and 'matrix'")
         nums.append(_finite(row[number], f"{where}.{number}"))
@@ -226,11 +233,8 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     """Realize the configured protocol kind as a HamiltonianProtocol whose
     ``stack`` evaluates H on a whole time grid in one call."""
     kind, d, tau = cfg.kind, cfg.dim, cfg.duration
-    unknown = cfg.params.keys() - KIND_PARAMS[kind]
-    if unknown:
-        names = ", ".join(sorted(f"'params.{name}'" for name in unknown))
-        accepted = ", ".join(KIND_PARAMS[kind])
-        raise BadConfig(f"unknown field(s) {names} for kind '{kind}', which accepts {accepted}")
+    accepted = KIND_PARAMS[kind]
+    _refuse_unknown(cfg.params, accepted, "params.", f" for kind '{kind}', which accepts {', '.join(accepted)}")
     if kind in ("rabi_qubit", "landau_zener") and d != 2:
         raise BadConfig(f"{kind} requires dim = 2")
 
@@ -265,6 +269,9 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
 
     elif kind == "landau_zener":
         v, gap = _numbers(cfg)
+        # the sweep term v (t - tau / 2) / 2 forms v * (tau / 2) at t = tau
+        if not math.isfinite(v * (tau / 2)):
+            raise _overflow(cfg, 0, "{} * duration / 2")
         stack = lambda ts: (v * (ts - tau / 2) / 2)[:, None, None] * SZ + (gap / 2) * SX
 
     elif kind == "modulated_oscillator":
@@ -273,9 +280,15 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         w0, gamma, lam = _numbers(cfg)
         if gamma * tau > math.log(sys.float_info.max):
             raise _overflow(cfg, 1, "exp({} * duration)")
+        # the largest entries of the two terms: hbar omega0 exp(pump_rate t) (dim - 1)
+        # at the t in [0, tau] where the exponential peaks, and squeeze sqrt((dim - 1)(dim - 2))
+        if not math.isfinite(cfg.hbar * w0 * math.exp(max(gamma * tau, 0.0)) * (d - 1)):
+            raise _overflow(cfg, 0, "hbar * {} * exp(max(pump_rate * duration, 0)) * (dim - 1)")
         number_op = np.diag(np.arange(d, dtype=float)).astype(complex)
         a = _ladder(d)
         squeeze_op = a @ a + (a @ a).conj().T
+        if not math.isfinite(lam * float(np.abs(squeeze_op).max())):
+            raise _overflow(cfg, 2, "{} * sqrt((dim - 1) * (dim - 2))")
 
         def stack(ts):
             # math.exp, not np.exp: the two differ in the last bit at some t
@@ -313,12 +326,14 @@ def initial_state(cfg: ProtocolConfig, protocol: qdyn.HamiltonianProtocol) -> qd
     if spec == "equal_superposition":
         return qdyn.QuantumState.pure(np.ones(cfg.dim) / math.sqrt(cfg.dim))
     if isinstance(spec, dict) and "amplitudes" in spec:
+        _refuse_unknown(spec, ["amplitudes"], "initial_state.")
         amps = spec["amplitudes"]
         if not isinstance(amps, list) or len(amps) != cfg.dim:
             raise BadConfig(f"initial_state.amplitudes: expected a list of length {cfg.dim}")
         amps = [_decode_entry(e, f"initial_state.amplitudes[{i}]") for i, e in enumerate(amps)]
         return _field_checked("initial_state.amplitudes", qdyn.QuantumState.pure, np.array(amps))
     if isinstance(spec, dict) and "matrix" in spec:
+        _refuse_unknown(spec, ["matrix"], "initial_state.")
         matrix = decode_matrix(spec["matrix"], cfg.dim, "initial_state.matrix")
         return _field_checked("initial_state.matrix", qdyn.QuantumState.mixed, matrix)
     raise BadConfig(

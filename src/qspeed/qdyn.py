@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import queue
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -168,8 +169,11 @@ class HamiltonianProtocol:
         if self.evaluator is None and self.stack is None:
             raise DomainError("a protocol needs an evaluator or a stack")
         if self.dim == 0:
-            probe = self.stack(np.zeros(1))[0] if self.stack is not None else self.evaluator(0.0)
-            object.__setattr__(self, "dim", np.shape(probe)[0])
+            # a one-sample stack, (1, d, d) when H(0) is a matrix
+            shape = np.shape(self.stack(np.zeros(1)) if self.stack is not None else [self.evaluator(0.0)])
+            if len(shape) < 3:
+                raise DimensionMismatch(f"H(t) probe at t = 0 has shape {shape[1:]}, expected a (d, d) matrix")
+            object.__setattr__(self, "dim", shape[1])
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t), the one-sample stack of :meth:`matrices`."""
@@ -186,10 +190,14 @@ class HamiltonianProtocol:
         block comes first.  Validates the shape, Hermiticity, and that every
         entry is finite, once on the whole stack; subclasses may override to
         batch further per-sample work.
+
+        The caller owns the returned array and may overwrite it: the ``stack``
+        result is copied, so an array that ``stack`` keeps is never handed
+        out.  An override must return an array its caller owns as well.
         """
         ts = np.asarray(ts, dtype=float)
         if self.stack is not None:
-            stack = np.asarray(self.stack(ts), dtype=complex)
+            stack = np.array(self.stack(ts), dtype=complex)
             if stack.shape != (len(ts), self.dim, self.dim):
                 raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         else:
@@ -216,17 +224,19 @@ class HamiltonianProtocol:
 @dataclass(frozen=True, eq=False)
 class _GroundShiftedProtocol(HamiltonianProtocol):
     """``stack``, the base protocol's :meth:`matrices`, shifted down by its
-    instantaneous ground energy, or by ``global_offset`` when set."""
+    instantaneous ground energy, or by ``global_offset`` when set.  The shift
+    is subtracted in place, from the array ``stack`` returns, which its
+    caller owns."""
 
     global_offset: float | None = None
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         stack = self.stack(ts)
-        eye = np.eye(self.dim)
-        if self.global_offset is None:
-            e0 = np.linalg.eigvalsh(stack)[:, 0]
-            return stack - e0[:, None, None] * eye
-        return stack - self.global_offset * eye
+        offset = self.global_offset
+        if offset is None:
+            offset = np.linalg.eigvalsh(stack)[:, 0, None, None]
+        stack -= offset * np.eye(self.dim)
+        return stack
 
 
 def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> HamiltonianProtocol:
@@ -236,7 +246,8 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     time, keeping <H_t> >= 0 pointwise.  ``global`` subtracts a single constant,
     the minimum instantaneous ground energy over a uniform scan of
     ``GLOBAL_SCAN_SAMPLES`` times in [0, duration].  Either way the returned
-    protocol evaluates ``p`` and applies the shift to the whole H(t) stack.
+    protocol evaluates ``p`` and applies the shift in place to the whole H(t)
+    stack that ``p.matrices`` returns.
     A global scan whose (``GLOBAL_SCAN_SAMPLES``, dim, dim) array would pass
     ``MAX_ARRAY_BYTES`` raises :class:`DomainError` before H is evaluated.
     """
@@ -252,13 +263,15 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, stack=p.matrices, global_offset=offset)
 
 
-def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack; ``v``
-    is overwritten with V exp(-i W dt / hbar).
+def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float, out: np.ndarray | None = None) -> np.ndarray:
+    """V exp(-i W dt / hbar) V† from eigenpairs, for one H or a stack, written
+    into ``out`` when it is given, which may be the H that ``w`` and ``v`` came
+    from; ``v`` is overwritten with V exp(-i W dt / hbar).
 
     A stacked matmul, because it gives the same bits as building each
     slice on its own; an einsum contraction does not.  Raises
-    :class:`NotFinite` when a phase E dt / hbar overflows.
+    :class:`NotFinite` when a phase E dt / hbar overflows, naming the
+    largest |E| of ``w``.
     """
     # numpy's complex division scales by 1 / hbar, which overflows for a
     # subnormal hbar even when E dt / hbar itself is small
@@ -270,27 +283,18 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float) -> np.ndarr
     phases = np.exp(angles)
     vh = np.conj(np.swapaxes(v, -1, -2))
     v *= phases[..., None, :]
-    return v @ vh
+    return np.matmul(v, vh, out=out)
 
 
-def _eigh_slices(h: np.ndarray) -> queue.SimpleQueue:
-    """The slices of the stack ``h`` that :func:`_eigh_into` works on, each
-    about ``EIGH_SLICE_BYTES`` of it, in a queue."""
-    slices = queue.SimpleQueue()
-    rows = max(1, EIGH_SLICE_BYTES // h[0].nbytes)
-    for lo in range(0, len(h), rows):
-        slices.put(slice(lo, lo + rows))
-    return slices
-
-
-def _eigh_into(h: np.ndarray, w: np.ndarray, v: np.ndarray, slices: queue.SimpleQueue, errors: list):
-    """``w[s], v[s] = np.linalg.eigh(h[s])`` for each slice ``s`` taken from
-    ``slices`` until it is empty, so threads that share the queue share the
-    work; an exception is appended to ``errors`` for the caller to raise."""
+def _unitaries_into(h: np.ndarray, dt: float, hbar: float, slices: queue.SimpleQueue, errors: list):
+    """Overwrite ``h[s]`` with its step unitaries, ``_unitaries`` of
+    ``np.linalg.eigh(h[s])``, for each slice ``s`` taken from ``slices`` until
+    it is empty, so threads that share the queue share the work; an exception
+    is appended to ``errors`` for the caller to raise."""
     try:
         while True:
             s = slices.get_nowait()
-            w[s], v[s] = np.linalg.eigh(h[s])
+            _unitaries(*np.linalg.eigh(h[s]), dt, hbar, out=h[s])
     except queue.Empty:
         pass
     except Exception as exc:
@@ -378,21 +382,26 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     Each step applies U_k = exp(-i H(t_k + dt/2) dt / hbar); pure amplitudes
     are mapped psi -> U psi, densities rho -> U rho U†.  U_k depends on H
     alone, so all N unitaries (and, for densities, their adjoints) are built
-    before the loop, from one batched eigendecomposition of the midpoint H
-    stack and the stacked matmul that :func:`step_unitary` also uses; the
-    loop only applies them in order, writing each state in place, and they
-    are freed before the observables.  The protocol is evaluated on the
-    calling thread, at the midpoints and then at the N+1 samples; when the
-    midpoint stack spans more than one ``EIGH_SLICE_BYTES`` slice, a worker
-    thread that this call starts and joins runs its eigendecomposition
+    before the loop; the loop only applies them in order, writing each state
+    in place, and they are freed before the observables.  The midpoint H
+    stack, which :meth:`~HamiltonianProtocol.matrices` hands over to this
+    call, becomes the unitary stack in place: each ``EIGH_SLICE_BYTES``
+    slice is decomposed by ``eigh`` and overwritten with its unitaries by
+    the stacked matmul that :func:`step_unitary` also uses.  The protocol
+    is evaluated on the calling thread, at the midpoints and then at the
+    N+1 samples; when the midpoint stack spans more than one slice, a
+    worker thread that this call starts and joins works through the slices
     meanwhile.  The bits are those of running the two in sequence.
     Per-sample observables (<H_t>, variance, Bures angle from the start, and
     for pure runs the complex overlap with the initial state) are computed
-    from the H(t) stack at the samples, which the trajectory keeps.  An
-    error of the midpoint side is raised before one of the samples.  A
+    from the H(t) stack at the samples, which the trajectory keeps.  The
+    errors of the midpoint slices (an ``eigh`` failure, or a step phase that
+    overflows, whose message names the largest |E| of its slice) go into one
+    list, whose first entry is raised before an error of the samples.  A
     non-finite H(t), variance or purity raises :class:`NotFinite`; a
-    non-integer ``steps``, or one whose (steps + 1, dim, dim) array would
-    pass ``MAX_ARRAY_BYTES``, :class:`DomainError`.
+    non-integer ``steps``, one whose (steps + 1, dim, dim) array would pass
+    ``MAX_ARRAY_BYTES``, or a ``duration`` / ``steps`` below the smallest
+    normal float, :class:`DomainError`, before H(t) is evaluated.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an integer, got {steps!r}")
@@ -400,40 +409,40 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
     n = int(steps)
     require_grid_fits(n + 1, p.dim)
+    dt = p.duration / n
+    if dt < sys.float_info.min:
+        raise DomainError(f"duration {p.duration!r} / steps {n} is below the smallest normal float")
     s0 = validate_state(s0)
     if s0.dim != p.dim:
         raise DimensionMismatch(f"state dim {s0.dim} != protocol dim {p.dim}")
 
     times = np.linspace(0.0, p.duration, n + 1)
-    dt = p.duration / n
     d = p.dim
 
-    # LAPACK releases the GIL, so the worker's eigh overlaps the grid
-    # evaluation; this thread takes the slices left when the grid is done.
-    # A stack of one slice gets no worker: starting a thread costs more than
-    # the overlap saves, and how long it takes varies from run to run.
-    # Midpoint errors and the step-phase overflow, raised in the finally,
-    # replace a grid error, in the order a sequential run would raise them.
-    mid = p.matrices(times[:-1] + dt / 2)
-    w = np.empty((n, d))
-    v = np.empty((n, d, d), dtype=complex)
-    slices = _eigh_slices(mid)
-    eigh_errors = []
+    # LAPACK releases the GIL, so the worker turns midpoint slices into step
+    # unitaries while this thread evaluates the grid; this thread takes the
+    # slices left when the grid is done.  A stack of one slice gets no worker:
+    # starting a thread costs more than the overlap saves, and how long it
+    # takes varies from run to run.  An error of a midpoint slice, raised in
+    # the finally, replaces a grid error.
+    u = p.matrices(times[:-1] + dt / 2)
+    slices = queue.SimpleQueue()
+    rows = max(1, EIGH_SLICE_BYTES // u[0].nbytes)
+    for lo in range(0, n, rows):
+        slices.put(slice(lo, lo + rows))
+    errors = []
     worker = None
     if slices.qsize() > 1:
-        worker = threading.Thread(target=_eigh_into, args=(mid, w, v, slices, eigh_errors))
+        worker = threading.Thread(target=_unitaries_into, args=(u, dt, p.hbar, slices, errors))
         worker.start()
     try:
         h_samp = p.matrices(times)
     finally:
-        _eigh_into(mid, w, v, slices, eigh_errors)
+        _unitaries_into(u, dt, p.hbar, slices, errors)
         if worker is not None:
             worker.join()
-        del mid
-        if eigh_errors:
-            raise eigh_errors[0]
-        u = _unitaries(w, v, dt, p.hbar)
-        del w, v
+        if errors:
+            raise errors[0]
 
     pure = s0.is_pure
     states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)

@@ -371,6 +371,9 @@ class TestRunCommand:
             ("ml_mode", "null"),
             ("params", "[]"),
             ("params", '"x"'),
+            ("label", "null"),
+            ("label", "[1]"),
+            ("label", "5"),
         ],
         ids=lambda v: v if len(v) < 20 else "huge_int",
     )
@@ -433,6 +436,21 @@ class TestRunCommand:
                 },
                 "params.drive_frequency",
             ),
+            ({**BENCH, "initial_state": {"amplitudes": [1, 0], "matrix": Z2}}, "initial_state.matrix"),
+            ({**BENCH, "initial_state": {"amplitudes": [1, 0], "foo": 1}}, "initial_state.foo"),
+            ({**BENCH, "initial_state": {"matrix": [[1, 0], [0, 0]], "foo": 1}}, "initial_state.foo"),
+            ({**PWC, "params": {"segments": [{"matrix": Z2, "duraton": 7}]}}, "params.segments[0].duraton"),
+            (
+                {**SAMPLES, "params": {"samples": [{"t": 0.0, "matrix": Z2}, {"t": math.pi, "matrix": Z2, "x": 1}]}},
+                "params.samples[1].x",
+            ),
+            (
+                {**BENCH, "kind": "landau_zener", "duration": 10.0, "params": {"sweep_rate": 1e308, "gap": 1.0}},
+                "params.sweep_rate",
+            ),
+            ({**OSC, "params": {"omega0": 1e308, "pump_rate": 1.0}}, "params.omega0"),
+            ({**OSC, "params": {"omega0": 1e308, "pump_rate": -1.0}}, "params.omega0"),
+            ({**OSC, "params": {"omega0": 1.0, "pump_rate": 0.0, "squeeze": 1e308}}, "params.squeeze"),
         ],
         ids=[
             "squeeze_str",
@@ -449,6 +467,15 @@ class TestRunCommand:
             "matrix_non_hermitian",
             "unknown_top_level_key",
             "drive_phase_overflow",
+            "amplitudes_and_matrix",
+            "amplitudes_unknown_key",
+            "matrix_unknown_key",
+            "segment_unknown_key",
+            "sample_unknown_key",
+            "sweep_term_overflow",
+            "oscillator_growing_term_overflow",
+            "oscillator_decaying_term_overflow",
+            "squeeze_term_overflow",
         ],
     )
     def test_bad_param_exit_2_names_field(self, tmp_path, capsys, doc, field):

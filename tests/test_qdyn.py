@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import queue
+import sys
 import threading
 import tracemalloc
 
@@ -38,7 +39,7 @@ from qspeed.errors import (
     NotPositive,
     StepCountTooSmall,
 )
-from qspeed.qdyn import _eigh_into, _eigh_slices, _unitaries
+from qspeed.qdyn import _unitaries, _unitaries_into
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -327,7 +328,11 @@ class TestPropagate:
     )
     def test_non_unitary_steps_raise_not_positive(self, monkeypatch, s0, message):
         """Steps that grow the norm by 1e-6 are refused, not reported as a trajectory."""
-        monkeypatch.setattr(qdyn, "_unitaries", lambda *args: _unitaries(*args) * (1 + 1e-6))
+
+        def inflated(*args, out=None):
+            return np.multiply(_unitaries(*args, out=out), 1 + 1e-6, out=out)
+
+        monkeypatch.setattr(qdyn, "_unitaries", inflated)
         p = HamiltonianProtocol(lambda t: np.diag([0.0, 1.0]).astype(complex), 1.0)
         with pytest.raises(NotPositive, match=message):
             propagate(p, s0, 64)
@@ -428,8 +433,10 @@ class TestPropagate:
             p.matrices([0.0, 0.5])
 
     def test_mixed_run_memory_peak(self):
-        """The step loop's views of the unitary stacks end with it, so a d = 16
-        mixed run peaks at no more than five (N+1, d, d) complex arrays."""
+        """The ground shift works on the stack it is given, the midpoint stack
+        becomes the unitaries, and the step loop's views of them end with it,
+        so a d = 16 mixed run peaks at no more than 4.5 (N+1, d, d) complex
+        arrays."""
         n, d = 2048, 16
         rng = np.random.default_rng(26)
         p = ground_shift(random_smooth_protocol(rng, d))
@@ -440,7 +447,38 @@ class TestPropagate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * (n + 1) * d * d * 16
+        assert peak <= 4.5 * (n + 1) * d * d * 16
+
+    def test_matrices_is_not_the_array_a_stack_keeps(self):
+        """The caller owns what ``matrices`` returns, also when ``stack``
+        hands out an array it keeps."""
+        kept = np.stack([SZ, SX])
+        p = HamiltonianProtocol(None, 1.0, stack=lambda ts: kept)
+        h = p.matrices([0.0, 1.0])
+        assert np.array_equal(h, kept) and not np.shares_memory(h, kept)
+
+    @pytest.mark.parametrize("stack", [lambda ts: 1.0, lambda ts: np.zeros(len(ts))], ids=["scalar", "vector"])
+    def test_stack_without_matrix_shape_rejected(self, stack):
+        with pytest.raises(DimensionMismatch, match="probe"):
+            HamiltonianProtocol(None, 1.0, stack=stack)
+
+    @pytest.mark.parametrize("h", [1.0, [1.0, 0.0]], ids=["scalar", "vector"])
+    def test_evaluator_without_matrix_shape_rejected(self, h):
+        with pytest.raises(DimensionMismatch, match="probe"):
+            HamiltonianProtocol(lambda t: h, 1.0)
+
+    @pytest.mark.parametrize("duration", [5e-324, 1e-310, 64 * 2.2e-308])
+    def test_subnormal_step_refused_before_any_h_evaluation(self, duration):
+        def stack(ts):
+            raise AssertionError("H(t) evaluated for a subnormal step")
+
+        p = HamiltonianProtocol(None, duration, dim=2, stack=stack)
+        with pytest.raises(DomainError, match="duration .* steps"):
+            propagate(p, equal_superposition(), 64)
+
+    def test_smallest_normal_step_runs(self):
+        p = HamiltonianProtocol(lambda t: SZ, 64 * sys.float_info.min)
+        assert propagate(p, equal_superposition(), 64).dt == sys.float_info.min
 
     def test_stack_of_wrong_length_rejected(self):
         p = HamiltonianProtocol(None, 1.0, dim=2, stack=lambda ts: np.stack([SZ] * (len(ts) + 1)))
@@ -572,21 +610,45 @@ class TestMidpointWorker:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dim, samples", [(16, 1100), (3, 40)], ids=["several_chunks", "one_chunk"])
     def test_chunked_eigh_matches_one_eigh(self, dim, samples, threads):
+        """Slices of a stack turned into step unitaries in place, by one
+        thread or two, have the bits of one eigh and one build of the whole."""
         rng = np.random.default_rng(25)
         h = np.stack([random_hermitian(rng, dim, 2.0) for _ in range(samples)])
-        slices = _eigh_slices(h)
+        expected = _unitaries(*np.linalg.eigh(h), 0.037, 1.3)
+        rows = max(1, qdyn.EIGH_SLICE_BYTES // h[0].nbytes)
+        slices = queue.SimpleQueue()
+        for lo in range(0, samples, rows):
+            slices.put(slice(lo, lo + rows))
         assert (slices.qsize() > 1) == (dim == 16)
-        w, v, errors = np.empty((samples, dim)), np.empty(h.shape, dtype=complex), []
-        helpers = [threading.Thread(target=_eigh_into, args=(h, w, v, slices, errors)) for _ in range(threads - 1)]
+        errors = []
+        args = (h, 0.037, 1.3, slices, errors)
+        helpers = [threading.Thread(target=_unitaries_into, args=args) for _ in range(threads - 1)]
         for helper in helpers:
             helper.start()
-        _eigh_into(h, w, v, slices, errors)
+        _unitaries_into(*args)
         for helper in helpers:
             helper.join(timeout=60)
             assert not helper.is_alive()
-        w_ref, v_ref = np.linalg.eigh(h)
         assert errors == []
-        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert h.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
+    def test_stack_a_protocol_keeps_is_unchanged_by_propagate(self, midpoint_slicing, mode):
+        """Neither the ground shift nor the in-place unitaries write into the
+        arrays a caching ``stack`` hands out."""
+        cache = {}
+
+        def h(ts):
+            return (1.0 + ts)[:, None, None] * SZ + 0.3 * SX
+
+        def stack(ts):
+            return cache.setdefault(ts.tobytes(), h(ts))
+
+        p = HamiltonianProtocol(None, 1.0, stack=stack)
+        propagate(p if mode is None else ground_shift(p, mode), equal_superposition(), 64)
+        assert len(cache) >= 3
+        for key, kept in cache.items():
+            assert kept.tobytes() == h(np.frombuffer(key)).tobytes()
 
     def test_worker_only_for_several_slices(self, midpoint_slicing, monkeypatch):
         started = []
