@@ -150,7 +150,6 @@ class QSLReport:
     tau_ml_quad: float
     tau_ml_lin: float
     tau_qsl: float
-    hbar: float
 
     @property
     def slacks(self) -> dict[str, float]:
@@ -208,7 +207,6 @@ def build_report(
         tau_ml_quad=t_mq,
         tau_ml_lin=t_ml,
         tau_qsl=t_qsl,
-        hbar=traj.hbar,
     )
     if t_mq > t_ml + 1e-12:
         raise BoundViolation(

@@ -105,12 +105,10 @@ class ProtocolConfig:
         hbar = positive("hbar", 1.0)
         steps = read("steps", 2048, lambda n: isinstance(n, int) and n >= 16, "must be an integer >= 16")
         gsm = choice("ground_shift_mode", "instantaneous", qdyn.GROUND_SHIFT_MODES)
-        # the global shift scans its own grid, which then sets the floor
-        scan = qdyn.GLOBAL_SCAN_SAMPLES if gsm == "global" else 0
         try:
-            qdyn.require_grid_fits(max(steps + 1, scan), dim)
+            qdyn.step_size(duration, steps, dim, gsm)
         except DomainError as exc:
-            raise BadConfig(f"fields 'steps' and 'dim' invalid: {exc}") from exc
+            raise BadConfig(f"fields 'duration', 'steps' and 'dim' invalid: {exc}") from exc
         ml_mode = choice("ml_mode", "linear", bounds.ML_MODES)
         tol = positive("audit_tolerance", 1e-6)
         return cls(

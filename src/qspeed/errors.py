@@ -35,10 +35,6 @@ class DimensionMismatch(QspeedError):
     """Operands live in Hilbert spaces of different dimension."""
 
 
-class StepCountTooSmall(QspeedError):
-    """Propagation requested with fewer steps than the scheme supports."""
-
-
 class GridMismatch(QspeedError):
     """Two sampled distributions do not share the same grid."""
 

@@ -27,7 +27,6 @@ from .errors import (
     NotFinite,
     NotNormalized,
     NotPositive,
-    StepCountTooSmall,
 )
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
 
 NORM_TOL = 1e-6
 GLOBAL_SCAN_SAMPLES = 1025
+_SCAN = f"the global shift's ({GLOBAL_SCAN_SAMPLES}, dim, dim) scan"
 GROUND_SHIFT_MODES = ("instantaneous", "global")
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
@@ -102,9 +102,11 @@ def validate_state(s: QuantumState) -> QuantumState:
     density matrices are symmetrized, their eigenvalues clipped at zero from
     below (rejected below -1e-6), and the trace renormalized.  Larger
     deviations raise :class:`NotNormalized` / :class:`NotPositive` /
-    :class:`NotHermitian`, and a vector that is not 1-D or a matrix that is
-    not square :class:`DimensionMismatch`.
+    :class:`NotHermitian`, and a vector that is not 1-D, a matrix that is
+    not square, or a state with both arrays set :class:`DimensionMismatch`.
     """
+    if s.is_pure and s.matrix is not None:
+        raise DimensionMismatch("a state sets amplitudes or matrix, not both")
     if s.is_pure:
         amps = np.asarray(s.amplitudes, dtype=complex)
         if amps.ndim != 1:
@@ -133,15 +135,30 @@ def validate_state(s: QuantumState) -> QuantumState:
     return QuantumState(matrix=_linalg.symmetrize(rho))
 
 
-def require_grid_fits(samples: int, dim: int):
-    """:class:`DomainError` if a (samples, dim, dim) complex array would pass ``MAX_ARRAY_BYTES``."""
+def require_grid_fits(samples: int, dim: int, what: str):
+    """:class:`DomainError` naming ``what`` if a (samples, dim, dim) complex array would pass ``MAX_ARRAY_BYTES``."""
     if samples * dim * dim * 16 > MAX_ARRAY_BYTES:
-        raise DomainError(f"a (steps + 1, dim, dim) complex array exceeds {MAX_ARRAY_BYTES >> 30} GiB")
+        raise DomainError(f"{what} of complex numbers exceeds {MAX_ARRAY_BYTES >> 30} GiB")
+
+
+def step_size(duration: float, steps: int, dim: int, shift_mode: str = "instantaneous") -> float:
+    """``duration / steps`` if a run meets every start rule, else :class:`DomainError` before anything
+    is allocated: ``steps`` an integer >= 2 (not a bool), the (steps + 1, dim, dim) grid and the
+    ``global`` shift's scan within ``MAX_ARRAY_BYTES``, and a step of at least the smallest normal float."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+    require_grid_fits(int(steps) + 1, dim, "the (steps + 1, dim, dim) grid")
+    if shift_mode == "global":
+        require_grid_fits(GLOBAL_SCAN_SAMPLES, dim, _SCAN)
+    dt = duration / int(steps)
+    if dt < sys.float_info.min:
+        raise DomainError(f"duration {duration!r} / steps {steps} is below the smallest normal float")
+    return dt
 
 
 def require_positive(value: float, name: str):
-    """:class:`DomainError` unless ``value`` is a finite number > 0 (not NaN)."""
-    if not 0 < value < math.inf:
+    """:class:`DomainError` unless ``value`` is a finite number > 0 (not NaN or a bool)."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
         raise DomainError(f"{name} must be a finite number > 0, got {value}")
 
 
@@ -248,14 +265,14 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     ``GLOBAL_SCAN_SAMPLES`` times in [0, duration].  Either way the returned
     protocol evaluates ``p`` and applies the shift in place to the whole H(t)
     stack that ``p.matrices`` returns.
-    A global scan whose (``GLOBAL_SCAN_SAMPLES``, dim, dim) array would pass
-    ``MAX_ARRAY_BYTES`` raises :class:`DomainError` before H is evaluated.
+    The scan must fit the cap :func:`step_size` also holds it to, else
+    :class:`DomainError` is raised before H is evaluated.
     """
     if mode not in GROUND_SHIFT_MODES:
         raise DomainError(f"unknown ground shift mode {mode!r}")
     offset = None
     if mode == "global":
-        require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim)
+        require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim, _SCAN)
         ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
         offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
 
@@ -398,20 +415,11 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     errors of the midpoint slices (an ``eigh`` failure, or a step phase that
     overflows, whose message names the largest |E| of its slice) go into one
     list, whose first entry is raised before an error of the samples.  A
-    non-finite H(t), variance or purity raises :class:`NotFinite`; a
-    non-integer ``steps``, one whose (steps + 1, dim, dim) array would pass
-    ``MAX_ARRAY_BYTES``, or a ``duration`` / ``steps`` below the smallest
-    normal float, :class:`DomainError`, before H(t) is evaluated.
+    non-finite H(t), variance or purity raises :class:`NotFinite`; a run that
+    :func:`step_size` refuses raises its :class:`DomainError` before H(t) is evaluated.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise DomainError(f"steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise StepCountTooSmall(f"need at least 2 steps, got {steps}")
+    dt = step_size(p.duration, steps, p.dim)
     n = int(steps)
-    require_grid_fits(n + 1, p.dim)
-    dt = p.duration / n
-    if dt < sys.float_info.min:
-        raise DomainError(f"duration {p.duration!r} / steps {n} is below the smallest normal float")
     s0 = validate_state(s0)
     if s0.dim != p.dim:
         raise DimensionMismatch(f"state dim {s0.dim} != protocol dim {p.dim}")

@@ -114,9 +114,9 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     integrated checks use the trapezoid rule on the run grid, and H(t) is
     read from ``traj.h_samples``.  The trajectory must come from a
     ground-shifted protocol for the mean-energy checks to be meaningful.
-    ``tol`` must be a finite number >= 0, else :class:`DomainError`.
+    ``tol`` must be a finite number >= 0 and not a bool, else :class:`DomainError`.
     """
-    if not 0.0 <= tol < math.inf:  # false for NaN too; 0 is an exact check
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:  # false for NaN too; 0 is an exact check
         raise DomainError(f"audit tolerance must be a finite number >= 0, got {tol}")
     n = traj.n_samples
     if n < MIN_SAMPLES:

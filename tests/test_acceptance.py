@@ -217,7 +217,7 @@ def test_criterion_2_linear_energy_bound_pure_subset(corpus, rerun):
     # report raises on every violating run
     for r in pure_runs:
         rep = r.report
-        if rep.tau_ml_lin != rep.hbar * rep.bures / rep.e_avg or rep.slacks["ml_lin"] != r.tau / rep.tau_ml_lin:
+        if rep.tau_ml_lin != r.protocol.hbar * rep.bures / rep.e_avg or rep.slacks["ml_lin"] != r.tau / rep.tau_ml_lin:
             problems.append(f"run {r.index}: tau_ml_lin or its slack is not the formula's value")
     for r in bad:
         traj = rerun(r.index)

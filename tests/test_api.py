@@ -114,3 +114,5 @@ def test_single_path_signatures():
 def test_deleted_error_classes():
     assert not hasattr(qspeed.errors, "IndexOutOfRange")
     assert not hasattr(qspeed.errors, "PureCheckOnMixedRun")
+    # steps < 2 is a DomainError, as every other refusal of qdyn.step_size
+    assert not hasattr(qspeed.errors, "StepCountTooSmall")

@@ -131,7 +131,7 @@ class TestBoundFormulas:
         with pytest.raises(NotFinite):
             tau_mt(0.5, math.inf, 1.0)
 
-    @pytest.mark.parametrize("hbar", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("hbar", [math.nan, -1.0, 0.0, math.inf, True, np.True_])
     def test_hbar_must_be_finite_positive(self, hbar):
         for formula in (tau_mt, tau_ml_linear, tau_ml_quadratic):
             with pytest.raises(DomainError, match="hbar"):

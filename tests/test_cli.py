@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qspeed import QuantumState, ground_shift, propagate
+from qspeed import HamiltonianProtocol, QuantumState, ground_shift, propagate
 from qspeed.cli import (
     SWEEP_HEADER,
     ProtocolConfig,
@@ -26,7 +26,7 @@ from qspeed.cli import (
     run_pipeline,
     sweep_command,
 )
-from qspeed.errors import BadConfig
+from qspeed.errors import BadConfig, DomainError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,6 +96,28 @@ class TestConfigValidation:
         assert ProtocolConfig.from_dict(raw).dim == 2048
         with pytest.raises(BadConfig, match="'steps' and 'dim'"):
             ProtocolConfig.from_dict({**raw, "ground_shift_mode": "global"})
+
+    def test_oversized_global_scan_names_the_scan(self):
+        raw = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
+        with pytest.raises(BadConfig, match="global shift's \\(1025, dim, dim\\) scan"):
+            ProtocolConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "duration, steps, reason",
+        [(1.0, 64.5, "must be an integer"), (1.0, 2**26, "exceeds 4 GiB"), (1e-310, 64, "below the smallest normal float")],
+        ids=["non_integer_steps", "grid_over_cap", "subnormal_step"],
+    )
+    def test_config_refuses_what_propagate_refuses(self, duration, steps, reason):
+        """The config check and propagate share the start rules of qdyn.step_size."""
+
+        def stack(ts):
+            raise AssertionError("H(t) evaluated for a run that cannot start")
+
+        p = HamiltonianProtocol(None, duration, dim=2, stack=stack)
+        with pytest.raises(DomainError, match=reason):
+            propagate(p, QuantumState.pure([1.0, 0.0]), steps)
+        with pytest.raises(BadConfig, match=reason):
+            ProtocolConfig.from_dict({**BENCH, "duration": duration, "steps": steps})
 
     def test_unknown_ml_mode(self):
         with pytest.raises(BadConfig, match="ml_mode"):
@@ -600,6 +622,21 @@ class TestRunCommand:
     def test_oversized_grid_exit_2(self, tmp_path, capsys, doc):
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert "'steps' and 'dim'" in capsys.readouterr().err
+
+    def test_subnormal_step_exit_2(self, tmp_path, capsys):
+        """A step below the smallest normal float is a config error naming its fields."""
+        assert main(["run", write_config(tmp_path, {**BENCH, "duration": 1e-310, "steps": 64})]) == 2
+        err = capsys.readouterr().err
+        assert "'duration'" in err and "'steps'" in err and "smallest normal float" in err
+
+    def test_oversized_global_scan_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch):
+        def build(cfg):
+            raise AssertionError("protocol built for a run that cannot start")
+
+        monkeypatch.setattr("qspeed.cli.build_protocol", build)
+        doc = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "scan" in capsys.readouterr().err
 
     def test_sanitize_writes_non_finite_as_strings(self):
         doc = {"a": [math.nan, math.inf, -math.inf, 1.5], "b": {"c": math.nan}}

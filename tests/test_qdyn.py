@@ -37,7 +37,6 @@ from qspeed.errors import (
     NotHermitian,
     NotNormalized,
     NotPositive,
-    StepCountTooSmall,
 )
 from qspeed.qdyn import _unitaries, _unitaries_into
 
@@ -106,6 +105,10 @@ class TestValidateState:
         assert s.amplitudes.dtype == complex and s.dim == 2
         with pytest.raises(DimensionMismatch):
             validate_state(QuantumState())
+
+    def test_both_arrays_set_rejected(self):
+        with pytest.raises(DimensionMismatch, match="not both"):
+            validate_state(QuantumState(amplitudes=[1, 0], matrix=np.eye(3) / 3))
 
     def test_basis_state_accepted(self):
         s = QuantumState.pure([1.0, 0.0])
@@ -298,7 +301,7 @@ class TestPropagate:
             propagate(p, QuantumState.pure([1.0, 0.0, 0.0]), 64)
 
     @pytest.mark.parametrize("field", ["duration", "hbar"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True, np.True_])
     def test_protocol_rejects_non_positive_or_non_finite(self, field, value):
         kwargs = {"duration": 1.0, "hbar": 1.0, field: value}
         with pytest.raises(DomainError, match=field):
@@ -486,7 +489,7 @@ class TestPropagate:
             p.matrices([0.0, 0.5])
 
     def test_rejects_too_few_steps(self):
-        with pytest.raises(StepCountTooSmall):
+        with pytest.raises(DomainError, match="steps must be an integer >= 2"):
             propagate(two_level_protocol(), equal_superposition(), 1)
 
     @pytest.mark.parametrize("steps", [64.9, math.nan, math.inf, "64", True])

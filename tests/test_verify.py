@@ -174,7 +174,7 @@ class TestAuditTrajectory:
         with pytest.raises(TooFewSamples):
             audit_trajectory(traj)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-6, True, False, np.True_])
     def test_tolerance_must_be_finite_nonnegative(self, saturating_run, tol):
         with pytest.raises(DomainError, match="tolerance"):
             audit_trajectory(saturating_run, tol)
