@@ -17,18 +17,36 @@ HERMITIAN_TOL = 1e-10
 # Eigenvalues below this fraction of the largest are eigensolver noise for
 # rank-deficient operators; sqrt would amplify them from eps to sqrt(eps).
 RANK_FLOOR = 1e-14
+# every pass over a whole (n, d, d) stack works on row slices of about this
+# many bytes, so its temporaries are a slice, not a stack; the midpoint eigh
+# shares its slices between two threads
+SLICE_BYTES = 2**21
+
+
+def row_slices(stack: np.ndarray) -> list[slice]:
+    """Slices of the leading axis of ``stack`` that cover it in order, each of
+    about ``SLICE_BYTES`` and at least one row; none for an empty stack."""
+    rows = max(1, SLICE_BYTES // max(1, stack[:1].nbytes))
+    return [slice(lo, lo + rows) for lo in range(0, len(stack), rows)]
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
     """Max elementwise deviation of m, or of a stack (..., d, d), from its
-    conjugate transpose; not finite when an entry is not, which every
-    caller reports as :class:`NotFinite`."""
-    # the difference overwrites the conjugate transpose, so a stack costs one
-    # complex temporary of its size, not two; inf - inf is NaN here, and the
-    # caller names it, so numpy need not warn
-    diff = np.conj(np.swapaxes(m, -1, -2))
+    conjugate transpose, 0 for an empty stack; not finite when an entry is
+    not, which every caller reports as :class:`NotFinite`."""
+    m = np.asarray(m)
+    stack = m.reshape(-1, *m.shape[-2:])
+    devs = []
+    # one slice at a time, whose difference overwrites its conjugate
+    # transpose, so a stack costs one complex and one real temporary of a
+    # slice; inf - inf is NaN here, and the caller names it, so numpy need
+    # not warn
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(np.subtract(m, diff, out=diff))))
+        for s in row_slices(stack):
+            diff = np.conj(np.swapaxes(stack[s], -1, -2))
+            devs.append(np.max(np.abs(np.subtract(stack[s], diff, out=diff))))
+            del diff  # before the next slice's is built
+    return float(np.max(devs, initial=0.0))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
@@ -78,12 +96,17 @@ def fidelity_from_sqrt(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity [tr sqrt(sqrt_a b sqrt_a)]^2 given a precomputed root.
 
     ``b`` may be a single matrix or a stack (..., d, d); returns a scalar or
-    a stack of scalars, clipped into [0, 1].
+    a stack of scalars, clipped into [0, 1].  The eigenvalues are taken one
+    slice of matrices at a time, so the temporaries are a slice, not a stack.
     """
-    inner = symmetrize(sqrt_a @ b @ sqrt_a)
-    lam = _floor_noise(np.clip(np.linalg.eigvalsh(inner), 0.0, None))
+    b = np.asarray(b)
+    stack = b.reshape(-1, *b.shape[-2:])
+    lam = np.empty(stack.shape[:-1])
+    for s in row_slices(stack):
+        lam[s] = np.linalg.eigvalsh(symmetrize(sqrt_a @ stack[s] @ sqrt_a))
+    lam = _floor_noise(np.clip(lam, 0.0, None))
     f = np.sqrt(lam).sum(axis=-1) ** 2
-    return np.clip(f, 0.0, 1.0)
+    return np.clip(f.reshape(b.shape[:-2]), 0.0, 1.0)
 
 
 def bures_angle_from_fidelity(f) -> np.ndarray:

@@ -14,8 +14,11 @@ stationary undriven state never evolves); L = 0 yields 0.
 
 The linear mean-energy bound is tight for equal-weight two-level motion but
 is NOT a theorem for general states: runs concentrated near the ground state
-violate it (see the audit module).  ``build_report`` therefore treats a
-deficit in any bound as a reportable violation, raising by default.
+violate it (see the audit module).  Under driving the quadratic bound is
+not a theorem either: a ground state turning at a fixed spectrum carries a
+state through a Bures angle of pi/2 at almost no mean energy.
+``build_report`` therefore treats a deficit in any bound as a reportable
+violation, raising by default.
 """
 
 from __future__ import annotations

@@ -46,9 +46,6 @@ GROUND_SHIFT_MODES = ("instantaneous", "global")
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
 MAX_ARRAY_BYTES = 2**32
-# the midpoint eigh runs in slices of about this many bytes of H, so its
-# temporaries stay small and two threads can share it
-EIGH_SLICE_BYTES = 2**21
 _EVAL_BLOCK = 256  # evaluator samples converted to complex by one np.array call
 
 
@@ -228,13 +225,14 @@ class HamiltonianProtocol:
                     hs = None
                 if hs is not None and hs.shape[1:] == stack.shape[1:]:
                     stack[lo : lo + len(block)] = hs
-                    continue
-                # ragged or wrongly shaped: convert per sample to name the first bad t
-                for k, (t, h) in enumerate(zip(times[lo:], block), lo):
-                    h = np.asarray(h, dtype=complex)
-                    if h.shape != stack.shape[1:]:
-                        raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
-                    stack[k] = h
+                else:
+                    # ragged or wrongly shaped: convert per sample to name the first bad t
+                    for k, (t, h) in enumerate(zip(times[lo:], block), lo):
+                        h = np.asarray(h, dtype=complex)
+                        if h.shape != stack.shape[1:]:
+                            raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
+                        stack[k] = h
+                del block, hs  # freed before the next block and the Hermiticity check
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -249,10 +247,11 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         stack = self.stack(ts)
-        offset = self.global_offset
-        if offset is None:
-            offset = np.linalg.eigvalsh(stack)[:, 0, None, None]
-        stack -= offset * np.eye(self.dim)
+        for s in _linalg.row_slices(stack):
+            offset = self.global_offset
+            if offset is None:
+                offset = np.linalg.eigvalsh(stack[s])[:, 0, None, None]
+            stack[s] -= offset * np.eye(self.dim)
         return stack
 
 
@@ -321,20 +320,27 @@ def _unitaries_into(h: np.ndarray, dt: float, hbar: float, slices: queue.SimpleQ
 def _step_states(u: np.ndarray, states: np.ndarray):
     """Fill ``states[1:]`` in place from ``states[0]``: psi -> U_k psi, or
     rho -> symmetrize(U_k rho U_k†) operation for operation, through buffers
-    allocated once.  No view of ``u`` outlives the call, so the caller can free it."""
+    allocated once: three d x d matrices, and the adjoints U_k† of one
+    :func:`_linalg.row_slices` slice of ``u`` at a time.  No view of ``u``
+    outlives the call, so the caller can free it."""
     if states.ndim == 2:
         for uk, src, dst in zip(u, states, states[1:]):
             np.matmul(uk, src, out=dst)
         return
-    uh = np.conj(np.swapaxes(u, -1, -2))
     left, step, adj = (np.empty(u.shape[1:], dtype=complex) for _ in range(3))
-    for uk, uhk, src, dst in zip(u, uh, states, states[1:]):
-        np.matmul(uk, src, out=left)
-        np.matmul(left, uhk, out=step)
-        # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
-        np.conjugate(step, out=adj.T)
-        np.add(step, adj, out=adj)
-        np.divide(adj, 2, out=dst)
+    slices = _linalg.row_slices(u)
+    # U_k† of one slice, in the transposed layout np.conj(np.swapaxes(u))
+    # has: a matmul's bits may depend on the layout of its operands
+    uh = np.swapaxes(np.empty_like(u[slices[0]]), -1, -2)
+    for s in slices:
+        adjoints = np.conjugate(np.swapaxes(u[s], -1, -2), out=uh[: len(u[s])])
+        for uk, uhk, src, dst in zip(u[s], adjoints, states[s], states[s.start + 1 :]):
+            np.matmul(uk, src, out=left)
+            np.matmul(left, uhk, out=step)
+            # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
+            np.conjugate(step, out=adj.T)
+            np.add(step, adj, out=adj)
+            np.divide(adj, 2, out=dst)
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -398,13 +404,13 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
     Each step applies U_k = exp(-i H(t_k + dt/2) dt / hbar); pure amplitudes
     are mapped psi -> U psi, densities rho -> U rho U†.  U_k depends on H
-    alone, so all N unitaries (and, for densities, their adjoints) are built
-    before the loop; the loop only applies them in order, writing each state
-    in place, and they are freed before the observables.  The midpoint H
-    stack, which :meth:`~HamiltonianProtocol.matrices` hands over to this
-    call, becomes the unitary stack in place: each ``EIGH_SLICE_BYTES``
-    slice is decomposed by ``eigh`` and overwritten with its unitaries by
-    the stacked matmul that :func:`step_unitary` also uses.  The protocol
+    alone, so all N unitaries are built before the loop; the loop only
+    applies them in order, writing each state in place, and they are freed
+    before the observables.  The midpoint H stack, which
+    :meth:`~HamiltonianProtocol.matrices` hands over to this call, becomes
+    the unitary stack in place: each :func:`_linalg.row_slices` slice is
+    decomposed by ``eigh`` and overwritten with its unitaries by the
+    stacked matmul that :func:`step_unitary` also uses.  The protocol
     is evaluated on the calling thread, at the midpoints and then at the
     N+1 samples; when the midpoint stack spans more than one slice, a
     worker thread that this call starts and joins works through the slices
@@ -435,9 +441,8 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     # the finally, replaces a grid error.
     u = p.matrices(times[:-1] + dt / 2)
     slices = queue.SimpleQueue()
-    rows = max(1, EIGH_SLICE_BYTES // u[0].nbytes)
-    for lo in range(0, n, rows):
-        slices.put(slice(lo, lo + rows))
+    for s in _linalg.row_slices(u):
+        slices.put(s)
     errors = []
     worker = None
     if slices.qsize() > 1:

@@ -54,6 +54,23 @@ def two_level_protocol(energy=1.0, duration=None, hbar=1.0, label="two-level"):
     return HamiltonianProtocol(lambda t: h, duration, hbar, label, 2)
 
 
+def rotating_ground(gap, tau):
+    """H(t) = gap (1 - |g><g|) as a function of an array of times, with
+    |g> = cos(theta)|0> + sin(theta)|1> and theta = (pi/2)(s - sin(2 pi s)/(2 pi)),
+    s = t / tau.  The spectrum is {0, gap} at every t while the ground state
+    turns through pi/2, so a run from |0> that follows it travels a Bures
+    angle of about pi/2 at almost no mean energy: a witness against any
+    mean-energy bound under driving."""
+
+    def stack(ts):
+        s = np.asarray(ts, dtype=float) / tau
+        theta = (math.pi / 2) * (s - np.sin(2 * math.pi * s) / (2 * math.pi))
+        g = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return gap * (np.eye(2) - g[:, :, None] * g[:, None, :])
+
+    return stack
+
+
 def equal_superposition(dim=2):
     return QuantumState.pure(np.ones(dim) / math.sqrt(dim))
 

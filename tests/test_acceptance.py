@@ -39,9 +39,11 @@ from conftest import (
     random_mixed_state,
     random_pure_state,
     random_smooth_protocol,
+    rotating_ground,
     two_level_protocol,
 )
 from qspeed import (
+    HamiltonianProtocol,
     QuantumState,
     audit_trajectory,
     build_report,
@@ -198,6 +200,59 @@ def test_criterion_2_quadratic_energy_bound(corpus):
         f"{len(bad)} violations",
     )
     assert ok, line
+
+
+# (gap, tau, slack of tau_ml_quad at N = 2048) of the driven witness
+DRIVEN_WITNESSES = ((50.0, 2.0, 0.03706), (10.0, 1.0, 0.5458))
+
+
+def test_criterion_2_quadratic_energy_bound_driven_witness():
+    # The quadratic bound holds on the corpus above but is not a theorem
+    # under driving: a ground state that turns through pi/2 at a fixed
+    # spectrum {0, gap} carries |0> a Bures angle of about pi/2 at almost no
+    # energy above the ground state (Okuyama & Ohzeki, J. Phys. A 51, 318001
+    # (2018)).  As for the linear bound, the test asserts the falsification
+    # is reported faithfully and is genuine, not that the bound holds.
+    problems, details = [], []
+    s0 = QuantumState.pure([1.0, 0.0])
+    for gap, tau, slack in DRIVEN_WITNESSES:
+        p = ground_shift(HamiltonianProtocol(None, tau, stack=rotating_ground(gap, tau)))
+        traj = propagate(p, s0, CORPUS_STEPS)
+        rep = build_report(traj, "quadratic", strict=False)
+        fine = build_report(propagate(p, s0, FINE_STEPS), "quadratic", strict=False)
+        name = f"gap {gap:g}, tau {tau:g}"
+        # 1. a violation far below 1 at the measured slack, which a strict
+        # report raises, while the variance-route bound holds
+        if abs(rep.slacks["ml_quad"] - slack) > 5e-5 or rep.qsl_satisfied:
+            problems.append(f"{name}: slack ml_quad {rep.slacks['ml_quad']:.5f}, expected {slack}")
+        if not rep.slacks["mt"] >= 1.0:
+            problems.append(f"{name}: the variance-route bound fails, slack {rep.slacks['mt']:.6f}")
+        try:
+            build_report(traj, "quadratic")
+            problems.append(f"{name}: strict build_report does not raise BoundViolation")
+        except BoundViolation:
+            pass
+        # 2. the side values match an independent recomputation: L from the
+        # endpoint overlap, and <H_t> = gap (1 - |<g_t|psi_t>|^2) at each sample
+        ell = math.acos(min(1.0, abs(np.vdot(traj.states[0], traj.states[-1]))))
+        s = traj.times / tau
+        theta = (math.pi / 2) * (s - np.sin(2 * math.pi * s) / (2 * math.pi))
+        overlap = np.cos(theta) * traj.states[:, 0] + np.sin(theta) * traj.states[:, 1]
+        mean_e = gap * (1.0 - np.abs(overlap) ** 2)
+        energy = np.trapezoid(mean_e, dx=traj.dt)
+        if abs(ell - rep.bures) > RECOMPUTE_AGREEMENT or abs(energy - rep.e_avg * tau) > RECOMPUTE_AGREEMENT * gap:
+            problems.append(f"{name}: L {rep.bures!r} or the integrated energy {rep.e_avg * tau!r} "
+                            f"differs from its recomputation ({ell!r}, {energy!r})")
+        # 3. the violation survives a doubled grid at the same slack
+        drift = abs(fine.slacks["ml_quad"] - rep.slacks["ml_quad"])
+        if fine.qsl_satisfied or drift > GRID_AGREEMENT:
+            problems.append(f"{name}: slack {fine.slacks['ml_quad']:.5f} at N = {FINE_STEPS}")
+        details.append(f"{name}: slack {rep.slacks['ml_quad']:.5f}, N={FINE_STEPS} drift {drift:.1e}")
+    ok = not problems
+    line = report_line(
+        2, ok, "driven witness: quadratic mean-energy bound is falsified and reported faithfully", "; ".join(details)
+    )
+    assert ok, "\n".join([line, *problems])
 
 
 def test_criterion_2_linear_energy_bound_pure_subset(corpus, rerun):

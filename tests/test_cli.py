@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rotating_ground
 from qspeed import HamiltonianProtocol, QuantumState, ground_shift, propagate
 from qspeed.cli import (
     SWEEP_HEADER,
@@ -345,6 +346,29 @@ class TestRunCommand:
         oc = next(c for c in doc["audit"]["checks"] if c["name"] == "overlap_cosine")
         assert not oc["passed"]
         assert doc["qsl"]["slacks"]["ml_lin"] < 1.0
+
+    @pytest.mark.parametrize("mode, slack", [("instantaneous", 0.1987), ("global", 0.2018)])
+    def test_driven_witness_falsifies_the_quadratic_bound(self, tmp_path, capsys, mode, slack):
+        """65 knots of a ground state turning through pi/2 at the fixed
+        spectrum {0, 10}: ``ml_mode: "quadratic"`` is no bound under driving.
+        Other checks fail too, so ``qsl_bound`` is asserted among them."""
+        knots = np.linspace(0.0, 2.0, 65)
+        samples = [{"t": t, "matrix": h.tolist()} for t, h in zip(knots.tolist(), rotating_ground(10.0, 2.0)(knots))]
+        raw = {
+            **SAMPLES,
+            "duration": 2.0,
+            "ml_mode": "quadratic",
+            "ground_shift_mode": mode,
+            "params": {"samples": samples},
+            "initial_state": {"amplitudes": [1, 0]},
+        }
+        out = tmp_path / "out.json"
+        assert main(["run", write_config(tmp_path, raw), "-o", str(out)]) == 4
+        failed = re.search(r"violation in: (.*)", capsys.readouterr().err).group(1).split(", ")
+        assert "qsl_bound" in failed
+        slacks = json.loads(out.read_text())["qsl"]["slacks"]
+        assert slacks["ml_quad"] == pytest.approx(slack, abs=1e-4)
+        assert slacks["mt"] >= 1.0
 
     def test_two_level_oscillator_exit_2_names_dim(self, tmp_path, capsys):
         raw = {**OSC, "dim": 2, "initial_state": {"amplitudes": [1, 0]}}

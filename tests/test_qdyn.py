@@ -435,22 +435,45 @@ class TestPropagate:
         with pytest.raises(DimensionMismatch, match=r"at t = 0\.0 has shape \(2,\)"):
             p.matrices([0.0, 0.5])
 
-    def test_mixed_run_memory_peak(self):
-        """The ground shift works on the stack it is given, the midpoint stack
-        becomes the unitaries, and the step loop's views of them end with it,
-        so a d = 16 mixed run peaks at no more than 4.5 (N+1, d, d) complex
-        arrays."""
+    @staticmethod
+    def d16_run_peak(state):
+        """The tracemalloc peak of an N = 2048, d = 16 ground-shifted run from
+        ``state(rng, 16)``, in (N+1, d, d) complex arrays."""
         n, d = 2048, 16
         rng = np.random.default_rng(26)
         p = ground_shift(random_smooth_protocol(rng, d))
-        s0 = random_mixed_state(rng, d)
+        s0 = state(rng, d)
         tracemalloc.start()
         try:
             propagate(p, s0, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * (n + 1) * d * d * 16
+        return peak / ((n + 1) * d * d * 16)
+
+    def test_mixed_run_memory_peak(self):
+        """The ground shift works on the stack it is given, the midpoint stack
+        becomes the unitaries, and every pass over a whole stack, the step
+        loop's adjoints among them, works one row slice at a time, so a d = 16
+        mixed run peaks at no more than 3.6 (N+1, d, d) complex arrays: the
+        states, the samples, the unitaries and slices."""
+        assert self.d16_run_peak(random_mixed_state) <= 3.6
+
+    def test_pure_run_memory_peak(self):
+        """A d = 16 pure run holds the unitaries and the samples, and slices
+        of both threads' work beside them: no more than 3.1 stacks."""
+        assert self.d16_run_peak(random_pure_state) <= 3.1
+
+    @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
+    @pytest.mark.parametrize("form", ["evaluator", "stack"])
+    def test_matrices_of_no_times(self, form, mode):
+        """An empty grid deviates from Hermiticity by 0: its stack is (0, d, d)."""
+        if form == "evaluator":
+            p = HamiltonianProtocol(lambda t: SZ, 1.0)
+        else:
+            p = HamiltonianProtocol(None, 1.0, stack=lambda ts: (1.0 + ts)[:, None, None] * SZ)
+        h = (p if mode is None else ground_shift(p, mode)).matrices([])
+        assert h.shape == (0, 2, 2) and h.dtype == complex
 
     def test_matrices_is_not_the_array_a_stack_keeps(self):
         """The caller owns what ``matrices`` returns, also when ``stack``
@@ -602,7 +625,7 @@ def midpoint_slicing(request, monkeypatch):
     """Run a test with the midpoint stack in one slice, on the calling
     thread alone, and in several, shared with a worker thread."""
     if request.param == "several_slices":
-        monkeypatch.setattr(qdyn, "EIGH_SLICE_BYTES", 256)
+        monkeypatch.setattr(_linalg, "SLICE_BYTES", 256)
     return request.param
 
 
@@ -618,10 +641,9 @@ class TestMidpointWorker:
         rng = np.random.default_rng(25)
         h = np.stack([random_hermitian(rng, dim, 2.0) for _ in range(samples)])
         expected = _unitaries(*np.linalg.eigh(h), 0.037, 1.3)
-        rows = max(1, qdyn.EIGH_SLICE_BYTES // h[0].nbytes)
         slices = queue.SimpleQueue()
-        for lo in range(0, samples, rows):
-            slices.put(slice(lo, lo + rows))
+        for s in _linalg.row_slices(h):
+            slices.put(s)
         assert (slices.qsize() > 1) == (dim == 16)
         errors = []
         args = (h, 0.037, 1.3, slices, errors)
@@ -732,3 +754,85 @@ class TestMidpointWorker:
         with pytest.raises(KeyError, match="no H at the end"):
             propagate(HamiltonianProtocol(evaluator, 1.0), equal_superposition(), 64)
         assert threading.active_count() == start
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    """Row slices of 1,000 bytes: 6 matrices at d = 3, 3 at d = 4."""
+    monkeypatch.setattr(_linalg, "SLICE_BYTES", 1000)
+
+
+def whole_stack_fidelity(sqrt_a, b):
+    """``fidelity_from_sqrt`` as one pass over all of ``b``."""
+    inner = _linalg.symmetrize(sqrt_a @ b @ sqrt_a)
+    lam = _linalg._floor_noise(np.clip(np.linalg.eigvalsh(inner), 0.0, None))
+    return np.clip(np.sqrt(lam).sum(axis=-1) ** 2, 0.0, 1.0)
+
+
+def hermitian_stack(n, d, seed=31):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_hermitian(rng, d) for _ in range(n)])
+
+
+class TestSlicedPasses:
+    """Every pass over a whole stack works on row slices and gives the bits
+    of one pass over the whole."""
+
+    def test_row_slices_cover_the_stack_in_order(self, small_slices):
+        h = hermitian_stack(40, 3)
+        slices = _linalg.row_slices(h)
+        assert [s.start for s in slices] == list(range(0, 40, 6))
+        assert np.array_equal(np.concatenate([h[s] for s in slices]), h)
+        assert _linalg.row_slices(h[:0]) == []
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    def test_shifted_stack_has_the_bits_of_a_whole_stack_shift(self, small_slices, mode):
+        p = random_smooth_protocol(np.random.default_rng(32), 3)
+        shifted = ground_shift(p, mode)
+        ts = np.linspace(0.0, p.duration, 41)
+        h = p.matrices(ts)
+        offset = shifted.global_offset
+        if offset is None:
+            offset = np.linalg.eigvalsh(h)[:, 0, None, None]
+        assert shifted.matrices(ts).tobytes() == (h - offset * np.eye(3)).tobytes()
+
+    def test_mixed_states_have_the_bits_of_a_whole_adjoint_stack(self, small_slices):
+        rng = np.random.default_rng(33)
+        u = _unitaries(*np.linalg.eigh(hermitian_stack(40, 3)), 0.05, 1.0)
+        states = np.empty((41, 3, 3), dtype=complex)
+        states[0] = random_mixed_state(rng, 3).matrix
+        expected = states.copy()
+        uh = np.conj(np.swapaxes(u, -1, -2))
+        for k in range(40):
+            step = u[k] @ expected[k] @ uh[k]
+            expected[k + 1] = (step + np.conj(step.T)) / 2
+        qdyn._step_states(u, states)
+        assert states.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40,), (), (2, 20)], ids=["stack", "single", "batch"])
+    def test_fidelity_has_the_bits_of_a_whole_stack_pass(self, small_slices, shape):
+        rng = np.random.default_rng(34)
+        rhos = np.stack([random_mixed_state(rng, 4).matrix for _ in range(40)])
+        b = rhos.reshape(shape + (4, 4)) if shape else rhos[7]
+        sqrt_a = _linalg.psd_sqrt(rhos[0])
+        f = _linalg.fidelity_from_sqrt(sqrt_a, b)
+        expected = whole_stack_fidelity(sqrt_a, b)
+        assert np.shape(f) == shape and np.asarray(f).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("nan_row, skew_row", [(31, 2), (2, 31)])
+    def test_nan_in_one_slice_beats_a_deviation_in_another(self, small_slices, nan_row, skew_row):
+        h = hermitian_stack(40, 3)
+        h[skew_row, 0, 1] += 5.0
+        h[nan_row, 1, 1] = math.nan
+        assert math.isnan(_linalg.hermitian_deviation(h))
+        with pytest.raises(NotFinite, match="non-finite entries"):
+            _linalg.require_hermitian(h)
+
+    def test_finite_deviation_is_the_whole_stack_value(self, small_slices):
+        h = hermitian_stack(40, 3)
+        h[7, 0, 2] += 1e-3
+        h[33, 2, 1] -= 2e-3j
+        dev = _linalg.hermitian_deviation(h)
+        assert dev == np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) == _linalg.hermitian_deviation(h[33])
+        with pytest.raises(NotHermitian, match=f"by {dev:.3e} "):
+            _linalg.require_hermitian(h)
