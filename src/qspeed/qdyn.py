@@ -11,6 +11,7 @@ precision while the time dependence is resolved to second order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import queue
 import sys
@@ -203,7 +204,9 @@ class HamiltonianProtocol:
         raises :class:`DimensionMismatch`, so an evaluator error later in the
         block comes first.  Validates the shape, Hermiticity, and that every
         entry is finite, once on the whole stack; subclasses may override to
-        batch further per-sample work.
+        batch further per-sample work.  :func:`propagate` asks for the
+        midpoints one row slice at a time, so a ``stack`` may be called once
+        per slice.
 
         The caller owns the returned array and may overwrite it: the ``stack``
         result is copied, so an array that ``stack`` keeps is never handed
@@ -302,45 +305,77 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float, out: np.nda
     return np.matmul(v, vh, out=out)
 
 
-def _unitaries_into(h: np.ndarray, dt: float, hbar: float, slices: queue.SimpleQueue, errors: list):
-    """Overwrite ``h[s]`` with its step unitaries, ``_unitaries`` of
-    ``np.linalg.eigh(h[s])``, for each slice ``s`` taken from ``slices`` until
-    it is empty, so threads that share the queue share the work; an exception
-    is appended to ``errors`` for the caller to raise."""
+def _beside(consume: Callable, items, then: Callable, threaded: bool):
+    """``then()``'s result, after ``consume(item)`` has run on each item that the
+    iterable ``items`` yields on this thread.
+
+    With ``threaded``, a thread that this call starts and joins consumes each
+    item as soon as ``items`` yields it, while this thread goes on with
+    ``items`` and then runs ``then``; this thread consumes the items left when
+    ``then`` is done.  Without, this thread consumes every item after ``then``.
+    No thread outlives the call.  Errors come in the order of running the
+    three in sequence: an exception of ``items`` is raised at once, and the
+    first exception of ``consume`` in place of one of ``then`` (chained to it).
+    A thread stops consuming at its first exception.
+    """
+    todo = queue.SimpleQueue()
+    errors = []
+
+    def drain():
+        # up to an end mark; there is one for each thread that drains
+        try:
+            while (item := todo.get()) is not None:
+                consume(item)
+        except Exception as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=drain) if threaded else None
+    if worker is not None:
+        worker.start()
+    fed = False
     try:
-        while True:
-            s = slices.get_nowait()
-            _unitaries(*np.linalg.eigh(h[s]), dt, hbar, out=h[s])
-    except queue.Empty:
-        pass
-    except Exception as exc:
-        errors.append(exc)
+        for item in items:
+            todo.put(item)
+        fed = True
+        return then()
+    finally:
+        todo.put(None)
+        todo.put(None)
+        if fed:
+            drain()
+        if worker is not None:
+            worker.join()
+        if fed and errors:
+            raise errors[0]
 
 
-def _step_states(u: np.ndarray, states: np.ndarray):
-    """Fill ``states[1:]`` in place from ``states[0]``: psi -> U_k psi, or
+def _step_states(blocks: list[np.ndarray], states: np.ndarray):
+    """Fill ``states[1:]`` in place from ``states[0]``, step k applying the k-th
+    unitary of ``blocks`` taken in order: psi -> U_k psi, or
     rho -> symmetrize(U_k rho U_k†) operation for operation, through buffers
-    allocated once: three d x d matrices, and the adjoints U_k† of one
-    :func:`_linalg.row_slices` slice of ``u`` at a time.  No view of ``u``
-    outlives the call, so the caller can free it."""
+    allocated once: three d x d matrices, and the adjoints U_k† of one block
+    at a time, sized by the first block, which must be the largest.  No view
+    of a block outlives the call, so the caller can free them."""
     if states.ndim == 2:
-        for uk, src, dst in zip(u, states, states[1:]):
-            np.matmul(uk, src, out=dst)
+        for uk, src, dst in zip(itertools.chain.from_iterable(blocks), states, states[1:]):
+            np.matmul(uk, src, dst)
         return
-    left, step, adj = (np.empty(u.shape[1:], dtype=complex) for _ in range(3))
-    slices = _linalg.row_slices(u)
-    # U_k† of one slice, in the transposed layout np.conj(np.swapaxes(u))
+    left, step, adj = (np.empty(states.shape[1:], dtype=complex) for _ in range(3))
+    adj_t, two = adj.T, np.complex128(2)
+    # U_k† of one block, in the transposed layout np.conj(np.swapaxes(u))
     # has: a matmul's bits may depend on the layout of its operands
-    uh = np.swapaxes(np.empty_like(u[slices[0]]), -1, -2)
-    for s in slices:
-        adjoints = np.conjugate(np.swapaxes(u[s], -1, -2), out=uh[: len(u[s])])
-        for uk, uhk, src, dst in zip(u[s], adjoints, states[s], states[s.start + 1 :]):
-            np.matmul(uk, src, out=left)
-            np.matmul(left, uhk, out=step)
+    uh = np.swapaxes(np.empty_like(blocks[0]), -1, -2)
+    lo = 0
+    for u in blocks:
+        adjoints = np.conjugate(np.swapaxes(u, -1, -2), out=uh[: len(u)])
+        for uk, uhk, src, dst in zip(u, adjoints, states[lo:], states[lo + 1 :]):
+            np.matmul(uk, src, left)
+            np.matmul(left, uhk, step)
             # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
-            np.conjugate(step, out=adj.T)
-            np.add(step, adj, out=adj)
-            np.divide(adj, 2, out=dst)
+            np.conjugate(step, adj_t)
+            np.add(step, adj, adj)
+            np.divide(adj, two, dst)
+        lo += len(u)
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -406,23 +441,32 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     are mapped psi -> U psi, densities rho -> U rho U†.  U_k depends on H
     alone, so all N unitaries are built before the loop; the loop only
     applies them in order, writing each state in place, and they are freed
-    before the observables.  The midpoint H stack, which
-    :meth:`~HamiltonianProtocol.matrices` hands over to this call, becomes
-    the unitary stack in place: each :func:`_linalg.row_slices` slice is
-    decomposed by ``eigh`` and overwritten with its unitaries by the
-    stacked matmul that :func:`step_unitary` also uses.  The protocol
-    is evaluated on the calling thread, at the midpoints and then at the
-    N+1 samples; when the midpoint stack spans more than one slice, a
-    worker thread that this call starts and joins works through the slices
-    meanwhile.  The bits are those of running the two in sequence.
+    before the observables.  The midpoint H stack is evaluated one
+    :func:`_linalg.row_slices` slice at a time, one
+    :meth:`~HamiltonianProtocol.matrices` call each, which evaluates, checks
+    and shifts that slice; each slice it hands over becomes its unitaries in
+    place, decomposed by ``eigh`` and overwritten by the stacked matmul that
+    :func:`step_unitary` also uses.  The protocol is evaluated on the calling
+    thread, at the midpoints and then at the N+1 samples.  When the midpoint
+    stack spans more than one slice, a thread that this call starts and joins
+    turns each slice into unitaries as soon as it is evaluated, and the
+    calling thread takes the slices left once the samples are evaluated; a
+    mixed run's <H_t> and <H_t^2> are then taken on such a thread too, beside
+    the fidelities.  A one-slice stack starts no thread.  The bits are the
+    same either way.
     Per-sample observables (<H_t>, variance, Bures angle from the start, and
     for pure runs the complex overlap with the initial state) are computed
-    from the H(t) stack at the samples, which the trajectory keeps.  The
-    errors of the midpoint slices (an ``eigh`` failure, or a step phase that
-    overflows, whose message names the largest |E| of its slice) go into one
-    list, whose first entry is raised before an error of the samples.  A
-    non-finite H(t), variance or purity raises :class:`NotFinite`; a run that
-    :func:`step_size` refuses raises its :class:`DomainError` before H(t) is evaluated.
+    from the H(t) stack at the samples, which the trajectory keeps.  Errors
+    come in the order of evaluating every midpoint slice, then building the
+    unitaries, then evaluating the samples: an error of midpoint slice k (an
+    evaluator exception, a shape, :class:`NotFinite` or :class:`NotHermitian`
+    error, whose deviation is that slice's, or one of the shift) is raised
+    before H is evaluated in slice k+1; an error of the unitaries (an ``eigh``
+    failure, or a step phase that overflows, whose message names the largest
+    |E| of its slice) only once every midpoint slice is evaluated, but before
+    an error of the samples.  A non-finite H(t), variance or purity raises
+    :class:`NotFinite`; a run that :func:`step_size` refuses raises its
+    :class:`DomainError` before H(t) is evaluated.
     """
     dt = step_size(p.duration, steps, p.dim)
     n = int(steps)
@@ -433,35 +477,33 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     times = np.linspace(0.0, p.duration, n + 1)
     d = p.dim
 
-    # LAPACK releases the GIL, so the worker turns midpoint slices into step
-    # unitaries while this thread evaluates the grid; this thread takes the
-    # slices left when the grid is done.  A stack of one slice gets no worker:
-    # starting a thread costs more than the overlap saves, and how long it
-    # takes varies from run to run.  An error of a midpoint slice, raised in
-    # the finally, replaces a grid error.
-    u = p.matrices(times[:-1] + dt / 2)
-    slices = queue.SimpleQueue()
-    for s in _linalg.row_slices(u):
-        slices.put(s)
-    errors = []
-    worker = None
-    if slices.qsize() > 1:
-        worker = threading.Thread(target=_unitaries_into, args=(u, dt, p.hbar, slices, errors))
-        worker.start()
-    try:
-        h_samp = p.matrices(times)
-    finally:
-        _unitaries_into(u, dt, p.hbar, slices, errors)
-        if worker is not None:
-            worker.join()
-        if errors:
-            raise errors[0]
+    # the midpoint stack is evaluated one row slice at a time, and each slice
+    # is turned into step unitaries in place; when the stack spans several
+    # slices, that runs on a thread of this call's own while this thread
+    # evaluates the next slice and then the grid (LAPACK releases the GIL).
+    # A stack of one slice gets no thread, for the unitaries or the moments:
+    # starting one costs more than the overlap saves, and how long it takes
+    # varies from run to run.
+    mid = times[:-1] + dt / 2
+    slices = _linalg.row_slices(np.broadcast_to(0j, (n, d, d)))  # of the stack to come
+    several = len(slices) > 1
+    blocks = []
+
+    def midpoint_blocks():
+        for s in slices:
+            blocks.append(p.matrices(mid[s]))
+            yield blocks[-1]
+
+    def to_unitaries(h):
+        _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=h)
+
+    h_samp = _beside(to_unitaries, midpoint_blocks(), lambda: p.matrices(times), several)
 
     pure = s0.is_pure
     states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
     states[0] = s0.amplitudes if pure else s0.matrix
-    _step_states(u, states)
-    del u
+    _step_states(blocks, states)
+    del blocks
 
     if pure:
         me = np.einsum("ti,tij,tj->t", states.conj(), h_samp, states).real
@@ -473,11 +515,20 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         residual = np.linalg.norm(states - overlap[:, None] * states[0][None, :], axis=1)
         bures = np.arctan2(residual, np.abs(overlap))
     else:
-        me = np.einsum("tij,tji->t", states, h_samp).real
-        m2 = np.einsum("tij,tjk,tki->t", states, h_samp, h_samp).real
+        # einsum releases the GIL too, so the moments of the row slices are
+        # taken beside the fidelities, with the same bits as one pass
+        me, m2 = np.empty(n + 1), np.empty(n + 1)
+
+        def moments(s):
+            me[s] = np.einsum("tij,tji->t", states[s], h_samp[s]).real
+            m2[s] = np.einsum("tij,tjk,tki->t", states[s], h_samp[s], h_samp[s]).real
+
+        def bures_angles():
+            sqrt0 = _linalg.psd_sqrt(states[0], "initial state")
+            return _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
+
         overlap = None
-        sqrt0 = _linalg.psd_sqrt(states[0], "initial state")
-        bures = _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
+        bures = _beside(moments, _linalg.row_slices(states), bures_angles, several)
     bures[0] = 0.0
 
     # both checks are written to fail on NaN as well; an overflow is named below

@@ -38,7 +38,7 @@ from qspeed.errors import (
     NotNormalized,
     NotPositive,
 )
-from qspeed.qdyn import _unitaries, _unitaries_into
+from qspeed.qdyn import _beside, _unitaries
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -641,20 +641,13 @@ class TestMidpointWorker:
         rng = np.random.default_rng(25)
         h = np.stack([random_hermitian(rng, dim, 2.0) for _ in range(samples)])
         expected = _unitaries(*np.linalg.eigh(h), 0.037, 1.3)
-        slices = queue.SimpleQueue()
-        for s in _linalg.row_slices(h):
-            slices.put(s)
-        assert (slices.qsize() > 1) == (dim == 16)
-        errors = []
-        args = (h, 0.037, 1.3, slices, errors)
-        helpers = [threading.Thread(target=_unitaries_into, args=args) for _ in range(threads - 1)]
-        for helper in helpers:
-            helper.start()
-        _unitaries_into(*args)
-        for helper in helpers:
-            helper.join(timeout=60)
-            assert not helper.is_alive()
-        assert errors == []
+        slices = _linalg.row_slices(h)
+        assert (len(slices) > 1) == (dim == 16)
+
+        def to_unitaries(block):
+            _unitaries(*np.linalg.eigh(block), 0.037, 1.3, out=block)
+
+        assert _beside(to_unitaries, (h[s] for s in slices), lambda: "done", threads == 2) == "done"
         assert h.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
@@ -676,6 +669,8 @@ class TestMidpointWorker:
             assert kept.tobytes() == h(np.frombuffer(key)).tobytes()
 
     def test_worker_only_for_several_slices(self, midpoint_slicing, monkeypatch):
+        """Several slices start one thread for the midpoint unitaries, and a
+        mixed run one more for its moments; one slice starts none."""
         started = []
 
         class CountingThread(threading.Thread):
@@ -684,29 +679,35 @@ class TestMidpointWorker:
                 super().start()
 
         p = ground_shift(random_smooth_protocol(np.random.default_rng(28), 3))
-        expected = propagate(p, equal_superposition(3), 64).states
-        monkeypatch.setattr(threading, "Thread", CountingThread)
-        states = propagate(p, equal_superposition(3), 64).states
-        assert len(started) == (midpoint_slicing == "several_slices")
-        assert states.tobytes() == expected.tobytes()
+        several = midpoint_slicing == "several_slices"
+        for s0, threads in [(equal_superposition(3), 1), (random_mixed_state(np.random.default_rng(28), 3), 2)]:
+            expected = propagate(p, s0, 64).states
+            with monkeypatch.context() as m:
+                m.setattr(threading, "Thread", CountingThread)
+                states = propagate(p, s0, 64).states
+            assert len(started) == several * threads
+            assert states.tobytes() == expected.tobytes()
+            started.clear()
 
     def test_threads_end_with_the_call(self, midpoint_slicing):
         start = threading.active_count()
-        propagate(ground_shift(random_smooth_protocol(np.random.default_rng(26), 3)), equal_superposition(3), 64)
-        assert threading.active_count() == start
+        p = ground_shift(random_smooth_protocol(np.random.default_rng(26), 3))
+        for s0 in (equal_superposition(3), random_mixed_state(np.random.default_rng(26), 3)):
+            propagate(p, s0, 64)
+            assert threading.active_count() == start
         with pytest.raises(NotFinite):
             propagate(HamiltonianProtocol(_nan_at_end(1.0), 1.0), equal_superposition(), 64)
         assert threading.active_count() == start
 
     def test_propagate_in_forked_child(self, midpoint_slicing):
-        """A process forked after a propagate can propagate: no thread or
-        lock of the parent's call is left behind."""
+        """A process forked after a pure and a mixed propagate can propagate
+        both: no thread or lock of the parent's calls is left behind."""
         p = ground_shift(random_smooth_protocol(np.random.default_rng(27), 3))
-        s0 = equal_superposition(3)
-        expected = propagate(p, s0, 64).states
+        starts = (equal_superposition(3), random_mixed_state(np.random.default_rng(27), 3))
+        expected = [propagate(p, s0, 64).states for s0 in starts]
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(propagate(p, s0, 64).states))
+        child = ctx.Process(target=lambda: results.put([propagate(p, s0, 64).states for s0 in starts]))
         child.start()
         try:
             states = results.get(timeout=60)
@@ -718,7 +719,8 @@ class TestMidpointWorker:
             if child.is_alive():
                 child.kill()
                 child.join(timeout=10)
-        assert np.array_equal(states, expected)
+        for got, want in zip(states, expected, strict=True):
+            assert np.array_equal(got, want)
 
     def test_subnormal_hbar_raises_the_step_phase_error(self, midpoint_slicing):
         p = HamiltonianProtocol(lambda t: SZ, 1.0, hbar=5e-324)
@@ -754,6 +756,121 @@ class TestMidpointWorker:
         with pytest.raises(KeyError, match="no H at the end"):
             propagate(HamiltonianProtocol(evaluator, 1.0), equal_superposition(), 64)
         assert threading.active_count() == start
+
+    def test_every_item_is_consumed_once_under_contention(self):
+        """Four callers, each with a thread of its own, hand over 2,000 items
+        apiece at a shortened switch interval: each item is consumed once, by
+        whichever thread takes it, and no thread is left."""
+        counts = [np.zeros(2000, dtype=int) for _ in range(4)]
+
+        def caller(count):
+            def consume(k):
+                count[k] += 1
+
+            assert _beside(consume, range(len(count)), lambda: "done", True) == "done"
+
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(count,)) for count in counts]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all((count == 1).all() for count in counts)
+        assert threading.active_count() == start
+
+    def test_evaluator_exception_in_the_second_midpoint_slice(self, midpoint_slicing):
+        """It propagates unchanged, before any later midpoint is evaluated, and
+        leaves no thread behind."""
+        mid = _midpoints(64)
+        calls = []
+
+        def evaluator(t):
+            calls.append(t)
+            if t == mid[4]:
+                raise KeyError("no H at the fifth midpoint")
+            return SZ
+
+        start = threading.active_count()
+        with pytest.raises(KeyError, match="fifth midpoint") as excinfo:
+            propagate(HamiltonianProtocol(evaluator, 1.0, dim=2), equal_superposition(), 64)
+        assert excinfo.value.__context__ is None
+        assert calls == mid[:5].tolist()
+        assert threading.active_count() == start
+
+    def test_nan_in_the_first_midpoint_slice_beats_a_later_evaluator_exception(self, midpoint_slicing):
+        """Several slices are checked one by one, so slice 0's NaN is raised
+        before slice 2 is evaluated; one slice is evaluated whole first."""
+        mid = _midpoints(64)
+
+        def evaluator(t):
+            if t == mid[9]:
+                raise KeyError("no H in the third slice")
+            return SZ * (math.nan if t == mid[0] else 1.0)
+
+        expected = (NotFinite, "non-finite") if midpoint_slicing == "several_slices" else (KeyError, "third slice")
+        with pytest.raises(expected[0], match=expected[1]):
+            propagate(HamiltonianProtocol(evaluator, 1.0, dim=2), equal_superposition(), 64)
+
+    def test_evaluator_exception_beats_an_eigh_failure_in_an_earlier_slice(self, midpoint_slicing, monkeypatch):
+        mid = _midpoints(64)
+        failed = threading.Event()
+
+        def failing_eigh(h):
+            failed.set()
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        def evaluator(t):
+            if t == mid[9]:
+                # with a thread, slice 0's eigh has failed by now
+                assert midpoint_slicing == "one_slice" or failed.wait(timeout=10)
+                raise KeyError("no H in the third slice")
+            return SZ
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        start = threading.active_count()
+        with pytest.raises(KeyError, match="third slice"):
+            propagate(HamiltonianProtocol(evaluator, 1.0, dim=2), equal_superposition(), 64)
+        assert threading.active_count() == start
+
+    def test_stack_is_called_once_per_midpoint_slice(self, midpoint_slicing):
+        """In time order, covering each midpoint once, and then once for the grid."""
+        calls = []
+
+        def stack(ts):
+            calls.append(ts.copy())
+            return (1.0 + ts)[:, None, None] * SZ + 0.3 * SX
+
+        traj = propagate(HamiltonianProtocol(None, 1.0, dim=2, stack=stack), equal_superposition(), 64)
+        *midpoint_calls, grid = calls
+        slices = _linalg.row_slices(np.empty((64, 2, 2), dtype=complex))
+        assert len(slices) == (16 if midpoint_slicing == "several_slices" else 1)
+        assert [len(ts) for ts in midpoint_calls] == [len(range(64)[s]) for s in slices]
+        assert np.concatenate(midpoint_calls).tobytes() == _midpoints(64).tobytes()
+        assert grid.tobytes() == traj.times.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 30])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_mixed_observables_have_the_bits_of_one_slice(self, monkeypatch, dim, rows):
+        """Moments taken slice by slice on a thread beside the fidelities give
+        the bits of a one-slice run."""
+        p = ground_shift(random_smooth_protocol(np.random.default_rng(35), dim))
+        s0 = random_mixed_state(np.random.default_rng(36), dim)
+        whole = propagate(p, s0, 64)
+        monkeypatch.setattr(_linalg, "SLICE_BYTES", rows * dim * dim * 16)
+        sliced = propagate(p, s0, 64)
+        for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+            assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def _midpoints(steps, duration=1.0):
+    """The midpoint times ``propagate`` evaluates H at."""
+    return np.linspace(0.0, duration, steps + 1)[:-1] + duration / steps / 2
 
 
 @pytest.fixture
@@ -806,7 +923,7 @@ class TestSlicedPasses:
         for k in range(40):
             step = u[k] @ expected[k] @ uh[k]
             expected[k + 1] = (step + np.conj(step.T)) / 2
-        qdyn._step_states(u, states)
+        qdyn._step_states([u[s] for s in _linalg.row_slices(u)], states)
         assert states.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(40,), (), (2, 20)], ids=["stack", "single", "batch"])
