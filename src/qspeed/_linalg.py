@@ -39,9 +39,9 @@ def hermitian_deviation(m: np.ndarray) -> float:
     devs = []
     # one slice at a time, whose difference overwrites its conjugate
     # transpose, so a stack costs one complex and one real temporary of a
-    # slice; inf - inf is NaN here, and the caller names it, so numpy need
-    # not warn
-    with np.errstate(invalid="ignore"):
+    # slice; inf - inf is NaN here, and a difference of finite entries may
+    # overflow to inf: the caller names either, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in row_slices(stack):
             diff = np.conj(np.swapaxes(stack[s], -1, -2))
             devs.append(np.max(np.abs(np.subtract(stack[s], diff, out=diff))))

@@ -11,11 +11,10 @@ precision while the time dependence is resolved to second order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-import queue
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -254,6 +253,8 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
             offset = self.global_offset
             if offset is None:
                 offset = np.linalg.eigvalsh(stack[s])[:, 0, None, None]
+            if not np.isfinite(offset).all():
+                raise NotFinite("the ground energy of H(t) overflows a float")
             stack[s] -= offset * np.eye(self.dim)
         return stack
 
@@ -306,47 +307,36 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float, out: np.nda
 
 
 def _beside(consume: Callable, items, then: Callable, threaded: bool):
-    """``then()``'s result, after ``consume(item)`` has run on each item that the
-    iterable ``items`` yields on this thread.
+    """The list of the items that the iterable ``items`` yields, and
+    ``then()``'s result, after ``consume(item)`` has run on each item.
 
-    With ``threaded``, a thread that this call starts and joins consumes each
-    item as soon as ``items`` yields it, while this thread goes on with
-    ``items`` and then runs ``then``; this thread consumes the items left when
-    ``then`` is done.  Without, this thread consumes every item after ``then``.
-    No thread outlives the call.  Errors come in the order of running the
-    three in sequence: an exception of ``items`` is raised at once, and the
-    first exception of ``consume`` in place of one of ``then`` (chained to it).
-    A thread stops consuming at its first exception.
+    With ``threaded``, a one-thread pool that this call owns, and shuts down
+    before it returns, consumes each item as soon as ``items`` yields it,
+    while this thread goes on with ``items`` and then runs ``then``; once
+    ``then`` is done, this thread consumes the items that the pool has not
+    started (their ``Future.cancel()`` succeeds) and waits for the others.
+    Without, no pool is built and this thread consumes every item after
+    ``then``.  Errors come in the order of running the three in sequence: an
+    exception of ``items`` is raised at once, without those of ``consume``,
+    and the exception of ``consume`` on the earliest item that failed in
+    place of one of ``then`` (chained to it).
     """
-    todo = queue.SimpleQueue()
-    errors = []
+    pool = contextlib.nullcontext()
+    if threaded:
+        # imported here: it imports logging, which `import qspeed` need not load
+        from concurrent.futures import ThreadPoolExecutor
 
-    def drain():
-        # up to an end mark; there is one for each thread that drains
+        pool = ThreadPoolExecutor(max_workers=1)
+    with pool:
+        jobs = [(item, pool.submit(consume, item) if threaded else None) for item in items]
         try:
-            while (item := todo.get()) is not None:
-                consume(item)
-        except Exception as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=drain) if threaded else None
-    if worker is not None:
-        worker.start()
-    fed = False
-    try:
-        for item in items:
-            todo.put(item)
-        fed = True
-        return then()
-    finally:
-        todo.put(None)
-        todo.put(None)
-        if fed:
-            drain()
-        if worker is not None:
-            worker.join()
-        if fed and errors:
-            raise errors[0]
+            return [item for item, _ in jobs], then()
+        finally:
+            for item, job in jobs:
+                if job is None or job.cancel():
+                    consume(item)
+                else:
+                    job.result()
 
 
 def _step_states(blocks: list[np.ndarray], states: np.ndarray):
@@ -448,12 +438,12 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     place, decomposed by ``eigh`` and overwritten by the stacked matmul that
     :func:`step_unitary` also uses.  The protocol is evaluated on the calling
     thread, at the midpoints and then at the N+1 samples.  When the midpoint
-    stack spans more than one slice, a thread that this call starts and joins
+    stack spans more than one slice, a one-thread pool of this call's own
     turns each slice into unitaries as soon as it is evaluated, and the
-    calling thread takes the slices left once the samples are evaluated; a
-    mixed run's <H_t> and <H_t^2> are then taken on such a thread too, beside
-    the fidelities.  A one-slice stack starts no thread.  The bits are the
-    same either way.
+    calling thread takes the slices that the pool has not started once the
+    samples are evaluated; a mixed run's <H_t> and <H_t^2> are then taken on
+    such a pool too, beside the fidelities.  A one-slice stack builds no
+    pool.  The bits are the same either way.
     Per-sample observables (<H_t>, variance, Bures angle from the start, and
     for pure runs the complex overlap with the initial state) are computed
     from the H(t) stack at the samples, which the trajectory keeps.  Errors
@@ -463,10 +453,11 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     error, whose deviation is that slice's, or one of the shift) is raised
     before H is evaluated in slice k+1; an error of the unitaries (an ``eigh``
     failure, or a step phase that overflows, whose message names the largest
-    |E| of its slice) only once every midpoint slice is evaluated, but before
-    an error of the samples.  A non-finite H(t), variance or purity raises
-    :class:`NotFinite`; a run that :func:`step_size` refuses raises its
-    :class:`DomainError` before H(t) is evaluated.
+    |E| of its slice, the earliest slice's if several fail) only once every
+    midpoint slice is evaluated, but before an error of the samples.  A
+    non-finite H(t), variance or purity raises :class:`NotFinite`; a run that
+    :func:`step_size` refuses raises its :class:`DomainError` before H(t) is
+    evaluated.
     """
     dt = step_size(p.duration, steps, p.dim)
     n = int(steps)
@@ -479,25 +470,19 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
     # the midpoint stack is evaluated one row slice at a time, and each slice
     # is turned into step unitaries in place; when the stack spans several
-    # slices, that runs on a thread of this call's own while this thread
-    # evaluates the next slice and then the grid (LAPACK releases the GIL).
-    # A stack of one slice gets no thread, for the unitaries or the moments:
-    # starting one costs more than the overlap saves, and how long it takes
-    # varies from run to run.
+    # slices, that runs on a one-thread pool of this call's own while this
+    # thread evaluates the next slice and then the grid (LAPACK releases the
+    # GIL).  A stack of one slice gets no pool, for the unitaries or the
+    # moments: starting a thread costs more than the overlap saves, and how
+    # long it takes varies from run to run.
     mid = times[:-1] + dt / 2
     slices = _linalg.row_slices(np.broadcast_to(0j, (n, d, d)))  # of the stack to come
     several = len(slices) > 1
-    blocks = []
-
-    def midpoint_blocks():
-        for s in slices:
-            blocks.append(p.matrices(mid[s]))
-            yield blocks[-1]
 
     def to_unitaries(h):
         _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=h)
 
-    h_samp = _beside(to_unitaries, midpoint_blocks(), lambda: p.matrices(times), several)
+    blocks, h_samp = _beside(to_unitaries, (p.matrices(mid[s]) for s in slices), lambda: p.matrices(times), several)
 
     pure = s0.is_pure
     states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
@@ -528,7 +513,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
             return _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
 
         overlap = None
-        bures = _beside(moments, _linalg.row_slices(states), bures_angles, several)
+        _, bures = _beside(moments, _linalg.row_slices(states), bures_angles, several)
     bures[0] = 0.0
 
     # both checks are written to fail on NaN as well; an overflow is named below

@@ -391,6 +391,17 @@ class TestRunCommand:
         assert "step phase |E|*dt/hbar overflows" in err and "hbar = 4.94066e-324" in err
         assert caught == []
 
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    def test_overflowing_ground_energy_exit_3(self, tmp_path, capsys, mode):
+        """A finite H whose eigenvalues, +-2.4e308, round to +-inf."""
+        big = 1.7e308
+        raw = {**BENCH, "ground_shift_mode": mode, "params": {"matrix": [[big, big], [big, -big]]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path, raw)]) == 3
+        assert "the ground energy of H(t) overflows a float" in capsys.readouterr().err
+        assert caught == []
+
     @pytest.mark.parametrize(
         "field, literal",
         [
@@ -566,6 +577,7 @@ class TestRunCommand:
                 },
                 "params.samples",
             ),
+            ({**BENCH, "params": {"matrix": [[0, 1.7e308], [-1.7e308, 0]]}}, "params.matrix"),
             ({**BENCH, "kind": "rabi_qubit", "dim": 3, "params": {}}, "rabi_qubit requires dim = 2"),
             ({**BENCH, "kind": "landau_zener", "dim": 3, "params": {}}, "landau_zener requires dim = 2"),
             ({**BENCH, "kind": "rabi_qubit", "params": {"omega0": 1.0, "amplitude": 0.5}}, "'drive_frequency'"),
@@ -586,6 +598,7 @@ class TestRunCommand:
             "sample_t_repeated",
             "sample_t_decreasing",
             "sample_t_spacing_overflows",
+            "matrix_skew_overflows",
             "rabi_dim_3",
             "landau_zener_dim_3",
             "rabi_missing_param",
@@ -695,6 +708,16 @@ class TestRunCommand:
         assert re.fullmatch(rb"\[qspeed\] bench: computed in [0-9.]+ ms\n", done.stderr)
         assert main(["run", cfg]) == 0
         assert done.stdout == capsys.readouterr().out.encode()
+
+    def test_module_entry_point_with_threads_exits(self, tmp_path):
+        """A d = 16 mixed run spans several 2 MiB slices, so it runs work on
+        per-call threads; the interpreter still exits, under -W error."""
+        rho = np.diag([0.5, 0.3, 0.2] + [0.0] * 13).tolist()
+        cfg = write_config(tmp_path, {**OSC, "dim": 16, "steps": 2048, "initial_state": {"matrix": rho}})
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-m", "qspeed", "run", cfg, "-o", str(tmp_path / "out.json")]
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert done.returncode in (0, 4), done.stderr.decode()
 
 
 class TestSweepCommand:

@@ -2,10 +2,14 @@
 
 import math
 import multiprocessing
+import os
 import queue
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from qspeed.errors import (
 )
 from qspeed.qdyn import _beside, _unitaries
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -130,6 +135,14 @@ class TestValidateState:
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotHermitian):
             QuantumState.mixed(m)
+
+    def test_overflowing_skew_rejected_without_a_warning(self):
+        m = np.array([[0.5, 1.7e308], [-1.7e308, 0.5]], dtype=complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotHermitian, match="by inf"):
+                QuantumState.mixed(m)
+        assert caught == []
 
     def test_overflowing_norm_named(self):
         with pytest.raises(NotNormalized, match="norm overflows"):
@@ -647,7 +660,7 @@ class TestMidpointWorker:
         def to_unitaries(block):
             _unitaries(*np.linalg.eigh(block), 0.037, 1.3, out=block)
 
-        assert _beside(to_unitaries, (h[s] for s in slices), lambda: "done", threads == 2) == "done"
+        assert _beside(to_unitaries, (h[s] for s in slices), lambda: "done", threads == 2)[1] == "done"
         assert h.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
@@ -767,7 +780,7 @@ class TestMidpointWorker:
             def consume(k):
                 count[k] += 1
 
-            assert _beside(consume, range(len(count)), lambda: "done", True) == "done"
+            assert _beside(consume, range(len(count)), lambda: "done", True)[1] == "done"
 
         start = threading.active_count()
         interval = sys.getswitchinterval()
@@ -783,6 +796,40 @@ class TestMidpointWorker:
             sys.setswitchinterval(interval)
         assert all((count == 1).all() for count in counts)
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_the_earliest_failing_item_wins(self, threaded):
+        """Item 0 fails only after ``then`` has run (on the pool, once it has
+        started there), item 1 at once: item 0's error is raised, chained to
+        ``then``'s, and no thread is left."""
+        started, ready = threading.Event(), threading.Event()
+
+        def consume(k):
+            if k == 0:
+                started.set()
+                assert ready.wait(timeout=10)
+            raise KeyError(f"item {k}")
+
+        def then():
+            assert not threaded or started.wait(timeout=10)
+            ready.set()
+            raise ValueError("then")
+
+        start = threading.active_count()
+        with pytest.raises(KeyError, match="item 0") as excinfo:
+            _beside(consume, range(2), then, threaded)
+        assert isinstance(excinfo.value.__context__, ValueError)
+        assert threading.active_count() == start
+
+    def test_beside_returns_the_items_it_was_given(self):
+        items = iter([3, 1, 2])
+        assert _beside(lambda k: None, items, lambda: "done", True) == ([3, 1, 2], "done")
+
+    def test_import_leaves_the_thread_pool_out(self):
+        """``concurrent.futures`` imports ``logging``; only a threaded call loads it."""
+        code = "import sys, qspeed; sys.exit('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
     def test_evaluator_exception_in_the_second_midpoint_slice(self, midpoint_slicing):
         """It propagates unchanged, before any later midpoint is evaluated, and
