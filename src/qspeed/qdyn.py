@@ -253,9 +253,10 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
             offset = self.global_offset
             if offset is None:
                 offset = np.linalg.eigvalsh(stack[s])[:, 0, None, None]
-            if not np.isfinite(offset).all():
-                raise NotFinite("the ground energy of H(t) overflows a float")
-            stack[s] -= offset * np.eye(self.dim)
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack[s] -= offset * np.eye(self.dim)
+            if not np.isfinite(stack[s]).all():
+                raise NotFinite("the ground energy of H(t), or H(t) shifted by it, overflows a float")
         return stack
 
 
@@ -315,20 +316,29 @@ def _beside(consume: Callable, items, then: Callable, threaded: bool):
     while this thread goes on with ``items`` and then runs ``then``; once
     ``then`` is done, this thread consumes the items that the pool has not
     started (their ``Future.cancel()`` succeeds) and waits for the others.
-    Without, no pool is built and this thread consumes every item after
-    ``then``.  Errors come in the order of running the three in sequence: an
-    exception of ``items`` is raised at once, without those of ``consume``,
-    and the exception of ``consume`` on the earliest item that failed in
-    place of one of ``then`` (chained to it).
+    Without, or where the pool refuses work because the interpreter has
+    begun to exit, this thread consumes the items after ``then``.  Errors
+    come in the order of running the three in sequence: an exception of
+    ``items`` is raised at once, without those of ``consume``, and the
+    exception of ``consume`` on the earliest item that failed in place of
+    one of ``then`` (chained to it).
     """
-    pool = contextlib.nullcontext()
+    pool = None
     if threaded:
-        # imported here: it imports logging, which `import qspeed` need not load
-        from concurrent.futures import ThreadPoolExecutor
+        with contextlib.suppress(RuntimeError):  # first imported once the interpreter has begun to exit
+            # imported here: it imports logging, which `import qspeed` need not load
+            from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=1)
-    with pool:
-        jobs = [(item, pool.submit(consume, item) if threaded else None) for item in items]
+            pool = ThreadPoolExecutor(max_workers=1)
+
+    def submit(item):
+        try:
+            return pool and pool.submit(consume, item)
+        except RuntimeError:  # refused once the interpreter has begun to exit
+            return None
+
+    with pool or contextlib.nullcontext():
+        jobs = [(item, submit(item)) for item in items]
         try:
             return [item for item, _ in jobs], then()
         finally:

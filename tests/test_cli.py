@@ -392,14 +392,19 @@ class TestRunCommand:
         assert caught == []
 
     @pytest.mark.parametrize("mode", ["instantaneous", "global"])
-    def test_overflowing_ground_energy_exit_3(self, tmp_path, capsys, mode):
-        """A finite H whose eigenvalues, +-2.4e308, round to +-inf."""
-        big = 1.7e308
-        raw = {**BENCH, "ground_shift_mode": mode, "params": {"matrix": [[big, big], [big, -big]]}}
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.7e308, 1.7e308], [1.7e308, -1.7e308]], [[1e308, 0], [0, -1e308]]],
+        ids=["ground_energy_overflows", "shift_overflows"],
+    )
+    def test_overflowing_ground_energy_exit_3(self, tmp_path, capsys, mode, matrix):
+        """A finite H whose eigenvalues, +-2.4e308, round to +-inf, and one
+        whose spectrum, +-1e308, spans more than a float."""
+        raw = {**BENCH, "ground_shift_mode": mode, "params": {"matrix": matrix}}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", write_config(tmp_path, raw)]) == 3
-        assert "the ground energy of H(t) overflows a float" in capsys.readouterr().err
+        assert "the ground energy of H(t), or H(t) shifted by it, overflows a float" in capsys.readouterr().err
         assert caught == []
 
     @pytest.mark.parametrize(

@@ -825,6 +825,47 @@ class TestMidpointWorker:
         items = iter([3, 1, 2])
         assert _beside(lambda k: None, items, lambda: "done", True) == ([3, 1, 2], "done")
 
+    @pytest.mark.parametrize("pool_imported", [False, True])
+    def test_propagate_while_the_interpreter_exits(self, pool_imported):
+        """From a thread still running after the main thread ended and from an
+        ``atexit`` handler, where the pool refuses work (or its module its
+        first import), a run of several slices is taken on the calling thread
+        and has the bits of a one-slice run."""
+        code = """if True:
+            import atexit, sys, threading, time
+            import numpy as np
+            from qspeed import HamiltonianProtocol, QuantumState, _linalg, ground_shift, propagate
+
+            sx, sz = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+            p = ground_shift(HamiltonianProtocol(lambda t: np.cos(t) * sz + 0.3 * sx, 1.0))
+            starts = [QuantumState.pure([0.6, 0.8]), QuantumState.mixed(np.diag([0.7, 0.3]))]
+
+            def run():
+                return [propagate(p, s0, 64).states.tobytes() for s0 in starts]
+
+            expected = run()
+            _linalg.SLICE_BYTES = 256
+            if sys.argv[1] == "True":
+                assert run() == expected
+
+            def check(where):
+                assert run() == expected
+                print(where, flush=True)
+
+            def after_main():
+                while threading.main_thread().is_alive():
+                    time.sleep(0.01)
+                check("thread")
+
+            atexit.register(check, "atexit")
+            threading.Thread(target=after_main).start()
+        """
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-c", code, str(pool_imported)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == ["thread", "atexit"]
+
     def test_import_leaves_the_thread_pool_out(self):
         """``concurrent.futures`` imports ``logging``; only a threaded call loads it."""
         code = "import sys, qspeed; sys.exit('concurrent.futures' in sys.modules)"
