@@ -209,11 +209,14 @@ class HamiltonianProtocol:
 
         The caller owns the returned array and may overwrite it: the ``stack``
         result is copied, so an array that ``stack`` keeps is never handed
-        out.  An override must return an array its caller owns as well.
+        out.  An override must return an array its caller owns as well.  The
+        copy is C-ordered, as the evaluator's stack is, because the bits of
+        the matmuls that take it in depend on its layout: a Fortran-ordered
+        or strided ``stack`` result gives the bits of its C-ordered values.
         """
         ts = np.asarray(ts, dtype=float)
         if self.stack is not None:
-            stack = np.array(self.stack(ts), dtype=complex)
+            stack = np.array(self.stack(ts), dtype=complex, order="C")
             if stack.shape != (len(ts), self.dim, self.dim):
                 raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         else:
@@ -354,8 +357,11 @@ def _step_states(blocks: list[np.ndarray], states: np.ndarray):
     unitary of ``blocks`` taken in order: psi -> U_k psi, or
     rho -> symmetrize(U_k rho U_k†) operation for operation, through buffers
     allocated once: three d x d matrices, and the adjoints U_k† of one block
-    at a time, sized by the first block, which must be the largest.  No view
-    of a block outlives the call, so the caller can free them."""
+    at a time, sized by the first block, which must be the largest.  The
+    blocks of density matrices may be the rows ``states[1:]`` they step
+    into: a block's adjoints are taken before its rows are written, and step
+    k reads U_k before it writes rho_{k+1} over it.  No view of a block
+    outlives the call, so the caller can free them."""
     if states.ndim == 2:
         for uk, src, dst in zip(itertools.chain.from_iterable(blocks), states, states[1:]):
             np.matmul(uk, src, dst)
@@ -446,7 +452,10 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     :meth:`~HamiltonianProtocol.matrices` call each, which evaluates, checks
     and shifts that slice; each slice it hands over becomes its unitaries in
     place, decomposed by ``eigh`` and overwritten by the stacked matmul that
-    :func:`step_unitary` also uses.  The protocol is evaluated on the calling
+    :func:`step_unitary` also uses.  A mixed run first copies the slice into
+    the rows of its (N+1, d, d) states that its steps fill, so U_k is built
+    in row k+1 and rho_{k+1} written over it: the run holds its states and
+    its samples, and no third stack.  The protocol is evaluated on the calling
     thread, at the midpoints and then at the N+1 samples.  When the midpoint
     stack spans more than one slice, a one-thread pool of this call's own
     turns each slice into unitaries as soon as it is evaluated, and the
@@ -489,13 +498,25 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     slices = _linalg.row_slices(np.broadcast_to(0j, (n, d, d)))  # of the stack to come
     several = len(slices) > 1
 
+    # a mixed run's states hold its unitaries, U_k in row k+1 until rho_{k+1}
+    # is written over it; a pure run's states are too small to hold them
+    pure = s0.is_pure
+    states = None if pure else np.empty((n + 1, d, d), dtype=complex)
+
+    def midpoint_block(s):
+        if pure:
+            return p.matrices(mid[s])
+        rows = states[1:][s]
+        rows[...] = p.matrices(mid[s])
+        return rows
+
     def to_unitaries(h):
         _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=h)
 
-    blocks, h_samp = _beside(to_unitaries, (p.matrices(mid[s]) for s in slices), lambda: p.matrices(times), several)
+    blocks, h_samp = _beside(to_unitaries, map(midpoint_block, slices), lambda: p.matrices(times), several)
 
-    pure = s0.is_pure
-    states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
+    if pure:
+        states = np.empty((n + 1, d), dtype=complex)
     states[0] = s0.amplitudes if pure else s0.matrix
     _step_states(blocks, states)
     del blocks

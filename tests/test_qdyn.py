@@ -364,15 +364,20 @@ class TestPropagate:
             pytest.param(8, False, id="mixed-d8"),
         ],
     )
-    def test_propagate_matches_per_step_reference(self, dim, pure):
+    def test_propagate_matches_per_step_reference(self, monkeypatch, dim, pure):
+        """With the midpoint stack in one slice, and in several shared with a
+        pool, where each of a mixed run's state rows holds U_k and then
+        rho_{k+1}."""
         rng = np.random.default_rng(21)
         p = ground_shift(random_smooth_protocol(rng, dim))
         s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
-        traj = propagate(p, s0, 256)
         states, me, bures = per_step_reference(p, s0, 256)
-        assert np.array_equal(traj.states, states)
-        assert np.array_equal(traj.mean_energy, me)
-        assert np.array_equal(traj.bures_from_initial, bures)
+        for slice_bytes in (_linalg.SLICE_BYTES, 256):
+            monkeypatch.setattr(_linalg, "SLICE_BYTES", slice_bytes)
+            traj = propagate(p, s0, 256)
+            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.mean_energy, me)
+            assert np.array_equal(traj.bures_from_initial, bures)
 
     def test_step_unitary_is_a_slice_of_the_stacked_build(self):
         rng = np.random.default_rng(22)
@@ -465,12 +470,13 @@ class TestPropagate:
         return peak / ((n + 1) * d * d * 16)
 
     def test_mixed_run_memory_peak(self):
-        """The ground shift works on the stack it is given, the midpoint stack
-        becomes the unitaries, and every pass over a whole stack, the step
-        loop's adjoints among them, works one row slice at a time, so a d = 16
-        mixed run peaks at no more than 3.6 (N+1, d, d) complex arrays: the
-        states, the samples, the unitaries and slices."""
-        assert self.d16_run_peak(random_mixed_state) <= 3.6
+        """The ground shift works on the stack it is given, the states hold
+        the unitaries until the step loop writes each state over its
+        unitary, and every pass over a whole stack, the step loop's adjoints
+        among them, works one row slice at a time, so a d = 16 mixed run peaks
+        at no more than 3.1 (N+1, d, d) complex arrays: the states, the
+        samples and slices."""
+        assert self.d16_run_peak(random_mixed_state) <= 3.1
 
     def test_pure_run_memory_peak(self):
         """A d = 16 pure run holds the unitaries and the samples, and slices
@@ -487,6 +493,25 @@ class TestPropagate:
             p = HamiltonianProtocol(None, 1.0, stack=lambda ts: (1.0 + ts)[:, None, None] * SZ)
         h = (p if mode is None else ground_shift(p, mode)).matrices([])
         assert h.shape == (0, 2, 2) and h.dtype == complex
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda h: np.ascontiguousarray(np.swapaxes(h, -1, -2)).swapaxes(-1, -2)],
+        ids=["fortran", "strided_view"],
+    )
+    def test_stack_layout_leaves_the_bits(self, layout, pure):
+        """A ``stack`` that returns its values in Fortran order, or as a view
+        with swapped strides, gives the bytes of the same values in C order."""
+        rng = np.random.default_rng(37)
+        base = random_smooth_protocol(rng, 5)
+        s0 = random_pure_state(rng, 5) if pure else random_mixed_state(rng, 5)
+        runs = [
+            propagate(ground_shift(HamiltonianProtocol(None, base.duration, stack=lambda ts, f=f: f(base.matrices(ts)))), s0, 256)
+            for f in (np.ascontiguousarray, layout)
+        ]
+        for name in ("states", "h_samples", "mean_energy", "energy_variance", "bures_from_initial"):
+            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
 
     def test_matrices_is_not_the_array_a_stack_keeps(self):
         """The caller owns what ``matrices`` returns, also when ``stack``
@@ -633,6 +658,10 @@ def _nan_at_end(duration):
     return lambda t: SZ * (math.nan if t == duration else 1.0)
 
 
+# a pure and a mixed start, for the error paths of both kinds of run
+STARTS = (equal_superposition(), QuantumState.mixed(np.diag([0.7, 0.3])))
+
+
 @pytest.fixture(params=["one_slice", "several_slices"])
 def midpoint_slicing(request, monkeypatch):
     """Run a test with the midpoint stack in one slice, on the calling
@@ -665,8 +694,8 @@ class TestMidpointWorker:
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
     def test_stack_a_protocol_keeps_is_unchanged_by_propagate(self, midpoint_slicing, mode):
-        """Neither the ground shift nor the in-place unitaries write into the
-        arrays a caching ``stack`` hands out."""
+        """Neither the ground shift nor the in-place unitaries of a pure or a
+        mixed run write into the arrays a caching ``stack`` hands out."""
         cache = {}
 
         def h(ts):
@@ -676,7 +705,8 @@ class TestMidpointWorker:
             return cache.setdefault(ts.tobytes(), h(ts))
 
         p = HamiltonianProtocol(None, 1.0, stack=stack)
-        propagate(p if mode is None else ground_shift(p, mode), equal_superposition(), 64)
+        for s0 in STARTS:
+            propagate(p if mode is None else ground_shift(p, mode), s0, 64)
         assert len(cache) >= 3
         for key, kept in cache.items():
             assert kept.tobytes() == h(np.frombuffer(key)).tobytes()
@@ -737,8 +767,9 @@ class TestMidpointWorker:
 
     def test_subnormal_hbar_raises_the_step_phase_error(self, midpoint_slicing):
         p = HamiltonianProtocol(lambda t: SZ, 1.0, hbar=5e-324)
-        with pytest.raises(NotFinite, match="step phase"):
-            propagate(p, equal_superposition(), 64)
+        for s0 in STARTS:
+            with pytest.raises(NotFinite, match="step phase"):
+                propagate(p, s0, 64)
 
     def test_nan_at_the_last_sample_raises_the_grid_error(self, midpoint_slicing):
         p = HamiltonianProtocol(_nan_at_end(1.0), 1.0)
@@ -747,8 +778,9 @@ class TestMidpointWorker:
 
     def test_step_phase_error_wins_over_a_grid_error(self, midpoint_slicing):
         p = HamiltonianProtocol(_nan_at_end(1.0), 1.0, hbar=5e-324)
-        with pytest.raises(NotFinite, match="step phase"):
-            propagate(p, equal_superposition(), 64)
+        for s0 in STARTS:
+            with pytest.raises(NotFinite, match="step phase"):
+                propagate(p, s0, 64)
 
     def test_eigh_error_wins_over_a_grid_error(self, midpoint_slicing, monkeypatch):
         def failing_eigh(h):
@@ -756,8 +788,9 @@ class TestMidpointWorker:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         p = HamiltonianProtocol(_nan_at_end(1.0), 1.0)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            propagate(p, equal_superposition(), 64)
+        for s0 in STARTS:
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                propagate(p, s0, 64)
 
     def test_evaluator_exception_on_the_grid_propagates_unchanged(self, midpoint_slicing):
         def evaluator(t):
@@ -885,11 +918,13 @@ class TestMidpointWorker:
             return SZ
 
         start = threading.active_count()
-        with pytest.raises(KeyError, match="fifth midpoint") as excinfo:
-            propagate(HamiltonianProtocol(evaluator, 1.0, dim=2), equal_superposition(), 64)
-        assert excinfo.value.__context__ is None
-        assert calls == mid[:5].tolist()
-        assert threading.active_count() == start
+        for s0 in STARTS:
+            calls.clear()
+            with pytest.raises(KeyError, match="fifth midpoint") as excinfo:
+                propagate(HamiltonianProtocol(evaluator, 1.0, dim=2), s0, 64)
+            assert excinfo.value.__context__ is None
+            assert calls == mid[:5].tolist()
+            assert threading.active_count() == start
 
     def test_nan_in_the_first_midpoint_slice_beats_a_later_evaluator_exception(self, midpoint_slicing):
         """Several slices are checked one by one, so slice 0's NaN is raised
