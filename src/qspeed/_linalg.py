@@ -18,9 +18,11 @@ HERMITIAN_TOL = 1e-10
 # rank-deficient operators; sqrt would amplify them from eps to sqrt(eps).
 RANK_FLOOR = 1e-14
 # every pass over a whole (n, d, d) stack works on row slices of about this
-# many bytes, so its temporaries are a slice, not a stack; the midpoint eigh
-# shares its slices between two threads
-SLICE_BYTES = 2**21
+# many bytes, so its temporaries are a slice, not a stack; smaller slices
+# raised a d = 16 run's resident peak (128 KiB) or its time (64 KiB).  Whether
+# the midpoint eigh shares its slices with a thread is decided by the size of
+# the stack (qdyn.POOL_BYTES), not by how many slices it spans
+SLICE_BYTES = 2**18
 
 
 def row_slices(stack: np.ndarray) -> list[slice]:

@@ -47,6 +47,9 @@ GROUND_SHIFT_MODES = ("instantaneous", "global")
 # refused before anything is allocated
 MAX_ARRAY_BYTES = 2**32
 _EVAL_BLOCK = 256  # evaluator samples converted to complex by one np.array call
+# propagate turns a midpoint stack of more bytes than this (d >= 9 at
+# N = 2048) into unitaries on a thread beside the calling one
+POOL_BYTES = 2**21
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +207,9 @@ class HamiltonianProtocol:
         block comes first.  Validates the shape, Hermiticity, and that every
         entry is finite, once on the whole stack; subclasses may override to
         batch further per-sample work.  :func:`propagate` asks for the
-        midpoints one row slice at a time, so a ``stack`` may be called once
-        per slice.
+        midpoints one row slice of about 256 KiB at a time, so from d = 3 on
+        at N = 2048 a ``stack`` is called once per midpoint slice, and then
+        once for the samples.
 
         The caller owns the returned array and may overwrite it: the ``stack``
         result is copied, so an array that ``stack`` keeps is never handed
@@ -457,12 +461,14 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     in row k+1 and rho_{k+1} written over it: the run holds its states and
     its samples, and no third stack.  The protocol is evaluated on the calling
     thread, at the midpoints and then at the N+1 samples.  When the midpoint
-    stack spans more than one slice, a one-thread pool of this call's own
-    turns each slice into unitaries as soon as it is evaluated, and the
-    calling thread takes the slices that the pool has not started once the
-    samples are evaluated; a mixed run's <H_t> and <H_t^2> are then taken on
-    such a pool too, beside the fidelities.  A one-slice stack builds no
-    pool.  The bits are the same either way.
+    stack holds more than ``POOL_BYTES`` (2 MiB: d >= 9 at N = 2048), a
+    one-thread pool of this call's own turns each slice into unitaries as
+    soon as it is evaluated, and the calling thread takes the slices that the
+    pool has not started once the samples are evaluated; a mixed run's <H_t>
+    and <H_t^2> are then taken on such a pool too, beside the fidelities.  A
+    smaller stack builds no pool, however many slices it spans, and its
+    slices become unitaries once the samples are evaluated.  The bits are
+    the same either way.
     Per-sample observables (<H_t>, variance, Bures angle from the start, and
     for pure runs the complex overlap with the initial state) are computed
     from the H(t) stack at the samples, which the trajectory keeps.  Errors
@@ -488,15 +494,16 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     d = p.dim
 
     # the midpoint stack is evaluated one row slice at a time, and each slice
-    # is turned into step unitaries in place; when the stack spans several
-    # slices, that runs on a one-thread pool of this call's own while this
-    # thread evaluates the next slice and then the grid (LAPACK releases the
-    # GIL).  A stack of one slice gets no pool, for the unitaries or the
+    # is turned into step unitaries in place; for a stack of more than
+    # POOL_BYTES, that runs on a one-thread pool of this call's own while
+    # this thread evaluates the next slice and then the grid (LAPACK releases
+    # the GIL).  A smaller stack gets no pool, for the unitaries or the
     # moments: starting a thread costs more than the overlap saves, and how
     # long it takes varies from run to run.
     mid = times[:-1] + dt / 2
-    slices = _linalg.row_slices(np.broadcast_to(0j, (n, d, d)))  # of the stack to come
-    several = len(slices) > 1
+    stack = np.broadcast_to(0j, (n, d, d))  # the shape of the stack to come
+    slices = _linalg.row_slices(stack)
+    pooled = stack.nbytes > POOL_BYTES
 
     # a mixed run's states hold its unitaries, U_k in row k+1 until rho_{k+1}
     # is written over it; a pure run's states are too small to hold them
@@ -513,7 +520,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     def to_unitaries(h):
         _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=h)
 
-    blocks, h_samp = _beside(to_unitaries, map(midpoint_block, slices), lambda: p.matrices(times), several)
+    blocks, h_samp = _beside(to_unitaries, map(midpoint_block, slices), lambda: p.matrices(times), pooled)
 
     if pure:
         states = np.empty((n + 1, d), dtype=complex)
@@ -544,7 +551,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
             return _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
 
         overlap = None
-        _, bures = _beside(moments, _linalg.row_slices(states), bures_angles, several)
+        _, bures = _beside(moments, _linalg.row_slices(states), bures_angles, pooled)
     bures[0] = 0.0
 
     # both checks are written to fail on NaN as well; an overflow is named below

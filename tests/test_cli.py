@@ -715,8 +715,9 @@ class TestRunCommand:
         assert done.stdout == capsys.readouterr().out.encode()
 
     def test_module_entry_point_with_threads_exits(self, tmp_path):
-        """A d = 16 mixed run spans several 2 MiB slices, so it runs work on
-        per-call threads; the interpreter still exits, under -W error."""
+        """A d = 16 mixed run's midpoint stack holds more than 2 MiB, so it
+        runs work on per-call threads; the interpreter still exits, under
+        -W error."""
         rho = np.diag([0.5, 0.3, 0.2] + [0.0] * 13).tolist()
         cfg = write_config(tmp_path, {**OSC, "dim": 16, "steps": 2048, "initial_state": {"matrix": rho}})
         env = {**os.environ, "PYTHONPATH": str(SRC)}

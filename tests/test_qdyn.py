@@ -372,8 +372,9 @@ class TestPropagate:
         p = ground_shift(random_smooth_protocol(rng, dim))
         s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
         states, me, bures = per_step_reference(p, s0, 256)
-        for slice_bytes in (_linalg.SLICE_BYTES, 256):
+        for slice_bytes, pool_bytes in ((_linalg.SLICE_BYTES, qdyn.POOL_BYTES), (256, 0)):
             monkeypatch.setattr(_linalg, "SLICE_BYTES", slice_bytes)
+            monkeypatch.setattr(qdyn, "POOL_BYTES", pool_bytes)
             traj = propagate(p, s0, 256)
             assert np.array_equal(traj.states, states)
             assert np.array_equal(traj.mean_energy, me)
@@ -473,15 +474,16 @@ class TestPropagate:
         """The ground shift works on the stack it is given, the states hold
         the unitaries until the step loop writes each state over its
         unitary, and every pass over a whole stack, the step loop's adjoints
-        among them, works one row slice at a time, so a d = 16 mixed run peaks
-        at no more than 3.1 (N+1, d, d) complex arrays: the states, the
-        samples and slices."""
-        assert self.d16_run_peak(random_mixed_state) <= 3.1
+        among them, works one 256 KiB row slice at a time, so a d = 16 mixed
+        run peaks at no more than 2.5 (N+1, d, d) complex arrays: the states,
+        the samples and slices (2.37 measured)."""
+        assert self.d16_run_peak(random_mixed_state) <= 2.5
 
     def test_pure_run_memory_peak(self):
-        """A d = 16 pure run holds the unitaries and the samples, and slices
-        of both threads' work beside them: no more than 3.1 stacks."""
-        assert self.d16_run_peak(random_pure_state) <= 3.1
+        """A d = 16 pure run holds the unitaries and the samples, and 256 KiB
+        slices of both threads' work beside them: no more than 2.5 stacks
+        (2.36 measured)."""
+        assert self.d16_run_peak(random_pure_state) <= 2.5
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
     @pytest.mark.parametrize("form", ["evaluator", "stack"])
@@ -665,15 +667,32 @@ STARTS = (equal_superposition(), QuantumState.mixed(np.diag([0.7, 0.3])))
 @pytest.fixture(params=["one_slice", "several_slices"])
 def midpoint_slicing(request, monkeypatch):
     """Run a test with the midpoint stack in one slice, on the calling
-    thread alone, and in several, shared with a worker thread."""
+    thread alone, and in several, shared with a worker thread: a pool size
+    of 0 gives every stack the pool."""
     if request.param == "several_slices":
         monkeypatch.setattr(_linalg, "SLICE_BYTES", 256)
+        monkeypatch.setattr(qdyn, "POOL_BYTES", 0)
     return request.param
+
+
+def threads_started(monkeypatch, run):
+    """``run()``'s result, and how many threads it started."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with monkeypatch.context() as m:
+        m.setattr(threading, "Thread", CountingThread)
+        result = run()
+    return result, len(started)
 
 
 class TestMidpointWorker:
     """The midpoint eigh runs on a thread of its own, beside the grid H stack,
-    when the stack spans several slices."""
+    when the stack holds more than ``qdyn.POOL_BYTES``."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dim, samples", [(16, 1100), (3, 40)], ids=["several_chunks", "one_chunk"])
@@ -712,25 +731,39 @@ class TestMidpointWorker:
             assert kept.tobytes() == h(np.frombuffer(key)).tobytes()
 
     def test_worker_only_for_several_slices(self, midpoint_slicing, monkeypatch):
-        """Several slices start one thread for the midpoint unitaries, and a
-        mixed run one more for its moments; one slice starts none."""
-        started = []
-
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
+        """Several slices with the pool start one thread for the midpoint
+        unitaries, and a mixed run one more for its moments; one slice starts
+        none."""
         p = ground_shift(random_smooth_protocol(np.random.default_rng(28), 3))
         several = midpoint_slicing == "several_slices"
         for s0, threads in [(equal_superposition(3), 1), (random_mixed_state(np.random.default_rng(28), 3), 2)]:
             expected = propagate(p, s0, 64).states
-            with monkeypatch.context() as m:
-                m.setattr(threading, "Thread", CountingThread)
-                states = propagate(p, s0, 64).states
-            assert len(started) == several * threads
+            states, started = threads_started(monkeypatch, lambda: propagate(p, s0, 64).states)
+            assert started == several * threads
             assert states.tobytes() == expected.tobytes()
-            started.clear()
+
+    @pytest.mark.parametrize(
+        "pool_bytes, pooled",
+        [(None, False), (64 * 9 * 16, False), (64 * 9 * 16 - 1, True)],
+        ids=["default", "at_the_pool_size", "above_it"],
+    )
+    def test_pool_only_for_a_stack_above_the_pool_size(self, monkeypatch, pool_bytes, pooled):
+        """A (64, 3, 3) midpoint stack in 64 slices starts a thread only when
+        it holds more than ``POOL_BYTES``: one for the unitaries, and a mixed
+        run one more for its moments.  Either way a run has the bits of a
+        one-slice run without a pool."""
+        p = ground_shift(random_smooth_protocol(np.random.default_rng(38), 3))
+        for s0, threads in [(equal_superposition(3), 1), (random_mixed_state(np.random.default_rng(38), 3), 2)]:
+            expected = propagate(p, s0, 64)
+            with monkeypatch.context() as m:
+                m.setattr(_linalg, "SLICE_BYTES", 256)
+                if pool_bytes is not None:
+                    m.setattr(qdyn, "POOL_BYTES", pool_bytes)
+                assert len(_linalg.row_slices(np.empty((64, 3, 3), dtype=complex))) == 64
+                traj, started = threads_started(monkeypatch, lambda: propagate(p, s0, 64))
+            assert started == pooled * threads
+            for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+                assert getattr(traj, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_threads_end_with_the_call(self, midpoint_slicing):
         start = threading.active_count()
@@ -867,7 +900,7 @@ class TestMidpointWorker:
         code = """if True:
             import atexit, sys, threading, time
             import numpy as np
-            from qspeed import HamiltonianProtocol, QuantumState, _linalg, ground_shift, propagate
+            from qspeed import HamiltonianProtocol, QuantumState, _linalg, ground_shift, propagate, qdyn
 
             sx, sz = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
             p = ground_shift(HamiltonianProtocol(lambda t: np.cos(t) * sz + 0.3 * sx, 1.0))
@@ -877,7 +910,7 @@ class TestMidpointWorker:
                 return [propagate(p, s0, 64).states.tobytes() for s0 in starts]
 
             expected = run()
-            _linalg.SLICE_BYTES = 256
+            _linalg.SLICE_BYTES, qdyn.POOL_BYTES = 256, 0
             if sys.argv[1] == "True":
                 assert run() == expected
 
@@ -1035,6 +1068,22 @@ class TestSlicedPasses:
         if offset is None:
             offset = np.linalg.eigvalsh(h)[:, 0, None, None]
         assert shifted.matrices(ts).tobytes() == (h - offset * np.eye(3)).tobytes()
+
+    @pytest.mark.parametrize("state", [random_pure_state, random_mixed_state], ids=["pure", "mixed"])
+    def test_d16_run_has_the_bits_of_one_slice_without_the_pool(self, monkeypatch, state):
+        """The path of a d = 16 run: a 4 MiB midpoint stack in 256 KiB slices
+        with the pool gives the bits of one slice without it."""
+        rng = np.random.default_rng(39)
+        p = ground_shift(random_smooth_protocol(rng, 16))
+        s0 = state(rng, 16)
+        assert len(_linalg.row_slices(np.empty((1024, 16, 16), dtype=complex))) == 16
+        sliced, started = threads_started(monkeypatch, lambda: propagate(p, s0, 1024))
+        assert started == (1 if s0.is_pure else 2)
+        monkeypatch.setattr(_linalg, "SLICE_BYTES", 2**23)
+        monkeypatch.setattr(qdyn, "POOL_BYTES", 2**22)
+        whole = propagate(p, s0, 1024)
+        for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+            assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
 
     def test_mixed_states_have_the_bits_of_a_whole_adjoint_stack(self, small_slices):
         rng = np.random.default_rng(33)
