@@ -32,6 +32,35 @@ def row_slices(stack: np.ndarray) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, len(stack), rows)]
 
 
+def once_per_run(f, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``f(stack)``, or ``f(stack, out=out)``, for an ``f`` that works matrix
+    by matrix, with ``f`` applied only to the first matrix of each run of
+    consecutive matrices that are equal bit for bit, and its result repeated
+    along the run.
+
+    Rows are compared as the bits of their entries, so -0.0 and +0.0 differ,
+    and every result has the bits ``f`` gives on the whole stack, as long as
+    ``f`` gives a matrix the same bits in any batch (``eigh``, ``eigvalsh``
+    and stacked matmuls do).  Without a repeat, ``f`` gets ``stack`` itself.
+    Rows are compared whole one :func:`row_slices` slice at a time, and only
+    in a slice where the first entry of a row has the bits of the row before
+    it, so a stack whose first entries all differ costs arrays of one entry
+    per row.
+    """
+    starts = np.ones(len(stack), dtype=bool)
+    if len(stack) > 1:
+        rows = stack.reshape(len(stack), -1).view(np.uint64)
+        new, row, prev = starts[1:], rows[1:], rows[:-1]
+        np.not_equal(row[:, 0], prev[:, 0], out=new)
+        for s in row_slices(row):
+            if not new[s].all():
+                np.any(row[s] != prev[s], axis=1, out=new[s])
+    if starts.all():
+        return f(stack) if out is None else f(stack, out=out)
+    # a mode other than "raise" writes into out without a buffer of its size
+    return np.take(f(stack[starts]), np.cumsum(starts) - 1, axis=0, out=out, mode="clip")
+
+
 def hermitian_deviation(m: np.ndarray) -> float:
     """Max elementwise deviation of m, or of a stack (..., d, d), from its
     conjugate transpose, 0 for an empty stack; not finite when an entry is

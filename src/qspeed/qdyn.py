@@ -250,7 +250,9 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
     """``stack``, the base protocol's :meth:`matrices`, shifted down by its
     instantaneous ground energy, or by ``global_offset`` when set.  The shift
     is subtracted in place, from the array ``stack`` returns, which its
-    caller owns."""
+    caller owns.  The ground energy is taken once per run of consecutive
+    samples that are equal bit for bit (:func:`_linalg.once_per_run`), so a
+    piecewise-constant H(t) costs one ``eigvalsh`` per segment and slice."""
 
     global_offset: float | None = None
 
@@ -259,7 +261,7 @@ class _GroundShiftedProtocol(HamiltonianProtocol):
         for s in _linalg.row_slices(stack):
             offset = self.global_offset
             if offset is None:
-                offset = np.linalg.eigvalsh(stack[s])[:, 0, None, None]
+                offset = _linalg.once_per_run(np.linalg.eigvalsh, stack[s])[:, 0, None, None]
             with np.errstate(over="ignore", invalid="ignore"):
                 stack[s] -= offset * np.eye(self.dim)
             if not np.isfinite(stack[s]).all():
@@ -273,7 +275,8 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     ``instantaneous`` (default) subtracts the lowest eigenvalue of H(t) at each
     time, keeping <H_t> >= 0 pointwise.  ``global`` subtracts a single constant,
     the minimum instantaneous ground energy over a uniform scan of
-    ``GLOBAL_SCAN_SAMPLES`` times in [0, duration].  Either way the returned
+    ``GLOBAL_SCAN_SAMPLES`` times in [0, duration], which decomposes each run
+    of consecutive bit-equal samples once.  Either way the returned
     protocol evaluates ``p`` and applies the shift in place to the whole H(t)
     stack that ``p.matrices`` returns.
     The scan must fit the cap :func:`step_size` also holds it to, else
@@ -285,7 +288,7 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     if mode == "global":
         require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim, _SCAN)
         ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
-        offset = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
+        offset = float(_linalg.once_per_run(np.linalg.eigvalsh, p.matrices(ts))[:, 0].min())
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
     return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, stack=p.matrices, global_offset=offset)
@@ -456,7 +459,11 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     :meth:`~HamiltonianProtocol.matrices` call each, which evaluates, checks
     and shifts that slice; each slice it hands over becomes its unitaries in
     place, decomposed by ``eigh`` and overwritten by the stacked matmul that
-    :func:`step_unitary` also uses.  A mixed run first copies the slice into
+    :func:`step_unitary` also uses.  A run of consecutive midpoint samples
+    that are equal bit for bit, as in a piecewise-constant H(t), is
+    decomposed once per slice and its unitary copied along the run
+    (:func:`_linalg.once_per_run`), with the bits of decomposing every sample.
+    A mixed run first copies the slice into
     the rows of its (N+1, d, d) states that its steps fill, so U_k is built
     in row k+1 and rho_{k+1} written over it: the run holds its states and
     its samples, and no third stack.  The protocol is evaluated on the calling
@@ -517,8 +524,11 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         rows[...] = p.matrices(mid[s])
         return rows
 
+    def unitaries(h, out=None):
+        return _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=out)
+
     def to_unitaries(h):
-        _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=h)
+        _linalg.once_per_run(unitaries, h, out=h)
 
     blocks, h_samp = _beside(to_unitaries, map(midpoint_block, slices), lambda: p.matrices(times), pooled)
 

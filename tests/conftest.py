@@ -46,6 +46,12 @@ def random_smooth_protocol(rng, dim, duration=None, hbar=1.0, scale=1.0, label="
     return HamiltonianProtocol(evaluator, duration, hbar, label, dim)
 
 
+def every_matrix(f, stack, out=None):
+    """``_linalg.once_per_run`` without its runs: ``f`` on the whole stack,
+    the reference for decomposing each run of equal matrices once."""
+    return f(stack) if out is None else f(stack, out=out)
+
+
 def two_level_protocol(energy=1.0, duration=None, hbar=1.0, label="two-level"):
     """Constant diag(0, E); the equal-superposition run saturates the bounds."""
     if duration is None:

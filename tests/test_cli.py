@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rotating_ground
-from qspeed import HamiltonianProtocol, QuantumState, ground_shift, propagate
+from conftest import every_matrix, rotating_ground
+from qspeed import HamiltonianProtocol, QuantumState, _linalg, ground_shift, propagate
 from qspeed.cli import (
     SWEEP_HEADER,
     ProtocolConfig,
@@ -702,6 +702,37 @@ class TestRunCommand:
         assert main(["run", cfg, "-o", str(out1)]) == 0
         assert main(["run", cfg, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    @pytest.mark.parametrize(
+        "start",
+        ["equal_superposition", {"matrix": np.diag(np.arange(1.0, 9.0) / 36).tolist()}],
+        ids=["pure", "mixed"],
+    )
+    def test_piecewise_const_report_has_the_bytes_of_decomposing_every_sample(self, tmp_path, monkeypatch, start, mode):
+        """d = 8, four segments, two of them with edges off the grid: the
+        report of decomposing each run of equal H(t) samples once is the
+        report of decomposing every sample."""
+        rng = np.random.default_rng(41)
+        segments = []
+        for duration in (0.3, 0.25, 0.2, 0.25):
+            a = np.round(rng.normal(size=(8, 8)), 3)
+            segments.append({"matrix": (a + a.T).tolist(), "duration": duration})
+        doc = {
+            "kind": "piecewise_const",
+            "dim": 8,
+            "duration": 1.0,
+            "steps": 512,
+            "params": {"segments": segments},
+            "initial_state": start,
+            "ground_shift_mode": mode,
+        }
+        cfg = write_config(tmp_path, doc)
+        once, every = tmp_path / "once.json", tmp_path / "every.json"
+        code = main(["run", cfg, "-o", str(once)])
+        monkeypatch.setattr(_linalg, "once_per_run", every_matrix, raising=False)
+        assert main(["run", cfg, "-o", str(every)]) == code
+        assert once.read_bytes() == every.read_bytes()
 
     def test_module_entry_point_matches_in_process_run(self, tmp_path, capsys):
         """``python -m qspeed`` imports cleanly under -W error and writes the same report."""

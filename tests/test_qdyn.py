@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     equal_superposition,
+    every_matrix,
     random_hermitian,
     random_mixed_state,
     random_pure_state,
@@ -82,6 +83,16 @@ def per_step_reference(p, s0, steps):
         states = rhos
     bures[0] = 0.0
     return states, me, bures
+
+
+def piecewise_constant(rng, dim):
+    """A ``stack`` protocol on [0, 1] that holds A, B, C, then A again.  At
+    256 steps and 256-byte slices (4 midpoints at d = 2) its first edge falls
+    inside a slice, B holds over 23 slices, and its second edge lies off the
+    grid."""
+    table = np.stack([random_hermitian(rng, dim) for _ in range(3)])[[0, 1, 2, 0]]
+    edges = np.array([6.0, 100.3, 180.0]) / 256
+    return HamiltonianProtocol(None, 1.0, stack=lambda ts: table[np.searchsorted(edges, ts, side="right")])
 
 
 class TestValidateState:
@@ -354,24 +365,36 @@ class TestPropagate:
             propagate(p, s0, 64)
 
     @pytest.mark.parametrize(
-        "dim, pure",
+        "dim, pure, drive",
         [
-            pytest.param(3, True, id="pure"),
-            pytest.param(3, False, id="mixed"),
-            pytest.param(1, True, id="pure-d1"),
-            pytest.param(1, False, id="mixed-d1"),
-            pytest.param(8, True, id="pure-d8"),
-            pytest.param(8, False, id="mixed-d8"),
+            pytest.param(3, True, None, id="pure"),
+            pytest.param(3, False, None, id="mixed"),
+            pytest.param(1, True, None, id="pure-d1"),
+            pytest.param(1, False, None, id="mixed-d1"),
+            pytest.param(8, True, None, id="pure-d8"),
+            pytest.param(8, False, None, id="mixed-d8"),
+            pytest.param(2, True, "instantaneous", id="pure-piecewise"),
+            pytest.param(2, False, "instantaneous", id="mixed-piecewise"),
+            pytest.param(2, True, "global", id="pure-piecewise-global"),
+            pytest.param(2, False, "global", id="mixed-piecewise-global"),
         ],
     )
-    def test_propagate_matches_per_step_reference(self, monkeypatch, dim, pure):
+    def test_propagate_matches_per_step_reference(self, monkeypatch, dim, pure, drive):
         """With the midpoint stack in one slice, and in several shared with a
         pool, where each of a mixed run's state rows holds U_k and then
-        rho_{k+1}."""
+        rho_{k+1}.  A smooth drive, or a piecewise-constant ``stack`` under
+        either shift, whose runs of equal samples are decomposed once against
+        a reference that decomposes every sample."""
         rng = np.random.default_rng(21)
-        p = ground_shift(random_smooth_protocol(rng, dim))
+        if drive is None:
+            base, mode = random_smooth_protocol(rng, dim), "instantaneous"
+        else:
+            base, mode = piecewise_constant(rng, dim), drive
         s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
-        states, me, bures = per_step_reference(p, s0, 256)
+        with monkeypatch.context() as m:
+            m.setattr(_linalg, "once_per_run", every_matrix, raising=False)
+            states, me, bures = per_step_reference(ground_shift(base, mode), s0, 256)
+        p = ground_shift(base, mode)
         for slice_bytes, pool_bytes in ((_linalg.SLICE_BYTES, qdyn.POOL_BYTES), (256, 0)):
             monkeypatch.setattr(_linalg, "SLICE_BYTES", slice_bytes)
             monkeypatch.setattr(qdyn, "POOL_BYTES", pool_bytes)
@@ -1125,3 +1148,111 @@ class TestSlicedPasses:
         assert dev == np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) == _linalg.hermitian_deviation(h[33])
         with pytest.raises(NotHermitian, match=f"by {dev:.3e} "):
             _linalg.require_hermitian(h)
+
+
+def recording(f, sizes):
+    """``f``, recording in ``sizes`` how many matrices each call receives."""
+
+    def record(h, *args, **kwargs):
+        sizes.append(len(h))
+        return f(h, *args, **kwargs)
+
+    return record
+
+
+def eigh_unitaries(h, out=None):
+    """The step unitaries of ``h`` at dt = 0.037, hbar = 1.3, as ``propagate`` builds them."""
+    return _unitaries(*np.linalg.eigh(h), 0.037, 1.3, out=out)
+
+
+class TestOncePerRun:
+    """``_linalg.once_per_run`` gives the bytes of ``f`` on the whole stack,
+    handing ``f`` the first matrix of each run of bit-equal matrices."""
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[1], [40], [1] * 40, [3, 17, 1, 1, 9, 9], [2, 1, 2, 1, 2]],
+        ids=["one_row", "all_equal", "none_equal", "runs_across_slices", "short_runs"],
+    )
+    @pytest.mark.parametrize("f", [np.linalg.eigvalsh, eigh_unitaries], ids=["eigvalsh", "unitaries"])
+    def test_bytes_of_f_on_the_whole_stack(self, small_slices, runs, f):
+        """Runs of the given lengths, of distinct matrices, at d = 3: 6 rows
+        of a slice are compared at a time, so a run of 17 spans three."""
+        distinct = hermitian_stack(len(runs), 3)
+        stack = np.repeat(distinct, runs, axis=0)
+        sizes = []
+        got = _linalg.once_per_run(recording(f, sizes), stack)
+        assert got.tobytes() == f(stack).tobytes()
+        assert sizes == [len(runs)]
+
+    @pytest.mark.parametrize(
+        "entry, part, change",
+        [
+            ((0, 0), "real", "sign_of_zero"),
+            ((2, 2), "imag", "sign_of_zero"),
+            ((0, 0), "real", "last_bit"),
+            ((2, 1), "imag", "last_bit"),
+        ],
+    )
+    def test_rows_that_differ_in_one_bit_are_runs_of_their_own(self, entry, part, change):
+        """The first entry is the one compared before whole rows are, in a
+        slice that also holds a row whose first entry differs."""
+        g, h = hermitian_stack(2, 3)
+        if change == "sign_of_zero":
+            getattr(h, part)[entry] = 0.0
+        stack = np.stack([g, h, h, h])
+        view = getattr(stack[3], part)
+        view[entry] = -0.0 if change == "sign_of_zero" else np.nextafter(view[entry], math.inf)
+        assert stack[3].tobytes() != stack[2].tobytes()
+        sizes = []
+        got = _linalg.once_per_run(recording(eigh_unitaries, sizes), stack)
+        assert got.tobytes() == eigh_unitaries(stack).tobytes()
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("runs", [[1] * 12, [5, 7]], ids=["none_equal", "two_runs"])
+    def test_out_form(self, runs):
+        """The results are written into ``out``, which may be the stack itself."""
+        stack = np.repeat(hermitian_stack(len(runs), 4), runs, axis=0)
+        expected = eigh_unitaries(stack.copy())
+        assert _linalg.once_per_run(eigh_unitaries, stack, out=stack) is stack
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_f_gets_the_callers_array_without_a_repeat(self):
+        stack = hermitian_stack(12, 4)
+        seen = []
+
+        def f(h, out=None):
+            seen.append((h, out))
+            return np.linalg.eigvalsh(h)
+
+        _linalg.once_per_run(f, stack)
+        _linalg.once_per_run(f, stack, out=stack)
+        assert seen[0][0] is stack and seen[0][1] is None
+        assert seen[1][0] is stack and seen[1][1] is stack
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    @pytest.mark.parametrize("drive", ["constant", "smooth"])
+    def test_decompositions_per_slice(self, small_slices, monkeypatch, drive, mode):
+        """A constant protocol hands ``eigh`` and ``eigvalsh`` one matrix per
+        slice, and the global scan one; a smooth one hands over every matrix.
+        The instantaneous shift takes the midpoints' and the samples'
+        eigenvalues, the global shift those of its scan alone."""
+        rng = np.random.default_rng(40)
+        if drive == "constant":
+            h = random_hermitian(rng, 3)
+            base = HamiltonianProtocol(None, 1.0, stack=lambda ts: np.repeat(h[None], len(ts), axis=0))
+        else:
+            base = random_smooth_protocol(rng, 3)
+        s0 = random_pure_state(rng, 3)
+        eigh_sizes, eigvalsh_sizes = [], []
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh, eigh_sizes))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, eigvalsh_sizes))
+        propagate(ground_shift(base, mode), s0, 64)
+        mid = [len(range(64)[s]) for s in _linalg.row_slices(np.empty((64, 3, 3), dtype=complex))]
+        grid = [len(range(65)[s]) for s in _linalg.row_slices(np.empty((65, 3, 3), dtype=complex))]
+        shifts = [qdyn.GLOBAL_SCAN_SAMPLES] if mode == "global" else mid + grid
+        assert len(mid) == 11
+        if drive == "constant":
+            mid, shifts = [1] * len(mid), [1] * len(shifts)
+        assert eigh_sizes == mid
+        assert eigvalsh_sizes == shifts
