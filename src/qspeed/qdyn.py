@@ -12,7 +12,6 @@ precision while the time dependence is resolved to second order.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ GROUND_SHIFT_MODES = ("instantaneous", "global")
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
 MAX_ARRAY_BYTES = 2**32
-_EVAL_BLOCK = 256  # evaluator samples converted to complex by one np.array call
 # propagate turns a midpoint stack of more bytes than this (d >= 9 at
 # N = 2048) into unitaries on a thread beside the calling one
 POOL_BYTES = 2**21
@@ -170,7 +168,9 @@ class HamiltonianProtocol:
     every t in [0, duration].  A protocol may instead give ``stack``, which
     maps an array of n times to the (n, d, d) stack of H(t) in one call and
     is then used in place of ``evaluator``.  Hermiticity is validated on
-    every evaluation.
+    every evaluation.  ``dim`` 0 (the default) is read from H(0); a ``dim``
+    that is not an integer >= 1 (or is a boolean), given or read, raises
+    :class:`DimensionMismatch`.
     """
 
     evaluator: Callable[[float], np.ndarray] | None
@@ -185,12 +185,15 @@ class HamiltonianProtocol:
             require_positive(getattr(self, name), name)
         if self.evaluator is None and self.stack is None:
             raise DomainError("a protocol needs an evaluator or a stack")
-        if self.dim == 0:
+        boolean = isinstance(self.dim, (bool, np.bool_))
+        if self.dim == 0 and not boolean:
             # a one-sample stack, (1, d, d) when H(0) is a matrix
             shape = np.shape(self.stack(np.zeros(1)) if self.stack is not None else [self.evaluator(0.0)])
             if len(shape) < 3:
                 raise DimensionMismatch(f"H(t) probe at t = 0 has shape {shape[1:]}, expected a (d, d) matrix")
             object.__setattr__(self, "dim", shape[1])
+        if boolean or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise DimensionMismatch(f"H(t) dim must be an integer >= 1, got {self.dim!r}")
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t), the one-sample stack of :meth:`matrices`."""
@@ -200,11 +203,12 @@ class HamiltonianProtocol:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
 
         One call of ``stack`` when it is set, else one ``evaluator`` call per
-        sample, in order, with samples converted to complex once per block of
-        256: a matrix the evaluator returns must not change when it is called
-        again, and a block runs to its end before a wrongly shaped sample in it
-        raises :class:`DimensionMismatch`, so an evaluator error later in the
-        block comes first.  Validates the shape, Hermiticity, and that every
+        sample, in order, with samples converted to complex once per
+        :func:`_linalg.row_slices` slice of the stack: a matrix the evaluator
+        returns must not change when it is called again, and a slice runs to
+        its end before a wrongly shaped sample in it raises
+        :class:`DimensionMismatch`, so an evaluator error later in the slice
+        comes first.  Validates the shape, Hermiticity, and that every
         entry is finite, once on the whole stack; subclasses may override to
         batch further per-sample work.  :func:`propagate` asks for the
         midpoints one row slice of about 256 KiB at a time, so from d = 3 on
@@ -226,22 +230,22 @@ class HamiltonianProtocol:
         else:
             stack = np.empty((len(ts), self.dim, self.dim), dtype=complex)
             times = ts.tolist()
-            for lo in range(0, len(times), _EVAL_BLOCK):
-                block = [self.evaluator(t) for t in times[lo : lo + _EVAL_BLOCK]]
+            for s in _linalg.row_slices(stack):
+                block = [self.evaluator(t) for t in times[s]]
                 try:
                     hs = np.array(block, dtype=complex)
                 except (TypeError, ValueError):
                     hs = None
                 if hs is not None and hs.shape[1:] == stack.shape[1:]:
-                    stack[lo : lo + len(block)] = hs
+                    stack[s] = hs
                 else:
                     # ragged or wrongly shaped: convert per sample to name the first bad t
-                    for k, (t, h) in enumerate(zip(times[lo:], block), lo):
+                    for k, (t, h) in enumerate(zip(times[s], block), s.start):
                         h = np.asarray(h, dtype=complex)
                         if h.shape != stack.shape[1:]:
                             raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
                         stack[k] = h
-                del block, hs  # freed before the next block and the Hermiticity check
+                del block, hs  # freed before the next slice and the Hermiticity check
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -318,8 +322,8 @@ def _unitaries(w: np.ndarray, v: np.ndarray, dt: float, hbar: float, out: np.nda
 
 
 def _beside(consume: Callable, items, then: Callable, threaded: bool):
-    """The list of the items that the iterable ``items`` yields, and
-    ``then()``'s result, after ``consume(item)`` has run on each item.
+    """``then()``'s result, after ``consume(item)`` has run on each item that
+    the iterable ``items`` yields.
 
     With ``threaded``, a one-thread pool that this call owns, and shuts down
     before it returns, consumes each item as soon as ``items`` yields it,
@@ -350,7 +354,7 @@ def _beside(consume: Callable, items, then: Callable, threaded: bool):
     with pool or contextlib.nullcontext():
         jobs = [(item, submit(item)) for item in items]
         try:
-            return [item for item, _ in jobs], then()
+            return then()
         finally:
             for item, job in jobs:
                 if job is None or job.cancel():
@@ -359,36 +363,32 @@ def _beside(consume: Callable, items, then: Callable, threaded: bool):
                     job.result()
 
 
-def _step_states(blocks: list[np.ndarray], states: np.ndarray):
-    """Fill ``states[1:]`` in place from ``states[0]``, step k applying the k-th
-    unitary of ``blocks`` taken in order: psi -> U_k psi, or
-    rho -> symmetrize(U_k rho U_k†) operation for operation, through buffers
-    allocated once: three d x d matrices, and the adjoints U_k† of one block
-    at a time, sized by the first block, which must be the largest.  The
-    blocks of density matrices may be the rows ``states[1:]`` they step
-    into: a block's adjoints are taken before its rows are written, and step
-    k reads U_k before it writes rho_{k+1} over it.  No view of a block
-    outlives the call, so the caller can free them."""
+def _step_states(u: np.ndarray, states: np.ndarray):
+    """Fill ``states[1:]`` in place from ``states[0]``, step k applying the
+    unitary ``u[k]``: psi -> U_k psi, or rho -> symmetrize(U_k rho U_k†)
+    operation for operation, through three d x d buffers allocated once, and
+    the adjoints U_k† of one :func:`_linalg.row_slices` slice of ``u`` at a
+    time.  The unitaries of density matrices may be the rows
+    ``states[1:]`` they step into: a slice's adjoints are taken before its
+    rows are written, and step k reads U_k before it writes rho_{k+1} over
+    it."""
     if states.ndim == 2:
-        for uk, src, dst in zip(itertools.chain.from_iterable(blocks), states, states[1:]):
+        for uk, src, dst in zip(u, states, states[1:]):
             np.matmul(uk, src, dst)
         return
     left, step, adj = (np.empty(states.shape[1:], dtype=complex) for _ in range(3))
     adj_t, two = adj.T, np.complex128(2)
-    # U_k† of one block, in the transposed layout np.conj(np.swapaxes(u))
-    # has: a matmul's bits may depend on the layout of its operands
-    uh = np.swapaxes(np.empty_like(blocks[0]), -1, -2)
-    lo = 0
-    for u in blocks:
-        adjoints = np.conjugate(np.swapaxes(u, -1, -2), out=uh[: len(u)])
-        for uk, uhk, src, dst in zip(u, adjoints, states[lo:], states[lo + 1 :]):
+    for s in _linalg.row_slices(u):
+        # U_k† of the slice, in the transposed layout np.conj(np.swapaxes(u))
+        # has: a matmul's bits may depend on the layout of its operands
+        adjoints = np.conjugate(np.swapaxes(u[s], -1, -2))
+        for uk, uhk, src, dst in zip(u[s], adjoints, states[s], states[1:][s]):
             np.matmul(uk, src, left)
             np.matmul(left, uhk, step)
             # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
             np.conjugate(step, adj_t)
             np.add(step, adj, adj)
             np.divide(adj, two, dst)
-        lo += len(u)
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -452,28 +452,28 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
     Each step applies U_k = exp(-i H(t_k + dt/2) dt / hbar); pure amplitudes
     are mapped psi -> U psi, densities rho -> U rho U†.  U_k depends on H
-    alone, so all N unitaries are built before the loop; the loop only
-    applies them in order, writing each state in place, and they are freed
-    before the observables.  The midpoint H stack is evaluated one
-    :func:`_linalg.row_slices` slice at a time, one
+    alone, so all N unitaries are built before the loop, in one (N, d, d)
+    array, and the loop only applies them in order, writing each state in
+    place.  A mixed run's array is the rows of its states that its steps
+    fill, U_k in row k+1 until rho_{k+1} is written over it, so the run holds
+    its states and its samples and no third stack; a pure run's is its own,
+    freed before the observables.  The midpoint H stack is evaluated one
+    :func:`_linalg.row_slices` slice of the array at a time, one
     :meth:`~HamiltonianProtocol.matrices` call each, which evaluates, checks
-    and shifts that slice; each slice it hands over becomes its unitaries in
-    place, decomposed by ``eigh`` and overwritten by the stacked matmul that
-    :func:`step_unitary` also uses.  A run of consecutive midpoint samples
-    that are equal bit for bit, as in a piecewise-constant H(t), is
+    and shifts that slice; it is copied into the array and becomes its
+    unitaries there, decomposed by ``eigh`` and overwritten by the stacked
+    matmul that :func:`step_unitary` also uses.  A run of consecutive midpoint
+    samples that are equal bit for bit, as in a piecewise-constant H(t), is
     decomposed once per slice and its unitary copied along the run
     (:func:`_linalg.once_per_run`), with the bits of decomposing every sample.
-    A mixed run first copies the slice into
-    the rows of its (N+1, d, d) states that its steps fill, so U_k is built
-    in row k+1 and rho_{k+1} written over it: the run holds its states and
-    its samples, and no third stack.  The protocol is evaluated on the calling
-    thread, at the midpoints and then at the N+1 samples.  When the midpoint
-    stack holds more than ``POOL_BYTES`` (2 MiB: d >= 9 at N = 2048), a
+    The protocol is evaluated on the calling thread, at the midpoints and
+    then at the N+1 samples.  When the unitary
+    array holds more than ``POOL_BYTES`` (2 MiB: d >= 9 at N = 2048), a
     one-thread pool of this call's own turns each slice into unitaries as
     soon as it is evaluated, and the calling thread takes the slices that the
     pool has not started once the samples are evaluated; a mixed run's <H_t>
     and <H_t^2> are then taken on such a pool too, beside the fidelities.  A
-    smaller stack builds no pool, however many slices it spans, and its
+    smaller array builds no pool, however many slices it spans, and its
     slices become unitaries once the samples are evaluated.  The bits are
     the same either way.
     Per-sample observables (<H_t>, variance, Bures angle from the start, and
@@ -500,29 +500,25 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     times = np.linspace(0.0, p.duration, n + 1)
     d = p.dim
 
-    # the midpoint stack is evaluated one row slice at a time, and each slice
-    # is turned into step unitaries in place; for a stack of more than
+    # one (N, d, d) array u holds the step unitaries: a mixed run's states[1:],
+    # U_k in row k+1 until rho_{k+1} is written over it, or a pure run's own
+    pure = s0.is_pure
+    states = np.empty((n + 1, d) if pure else (n + 1, d, d), dtype=complex)
+    u = np.empty((n, d, d), dtype=complex) if pure else states[1:]
+
+    # the midpoint stack is evaluated one row slice of u at a time, and each
+    # slice is turned into step unitaries in place; for a u of more than
     # POOL_BYTES, that runs on a one-thread pool of this call's own while
     # this thread evaluates the next slice and then the grid (LAPACK releases
-    # the GIL).  A smaller stack gets no pool, for the unitaries or the
+    # the GIL).  A smaller u gets no pool, for the unitaries or the
     # moments: starting a thread costs more than the overlap saves, and how
     # long it takes varies from run to run.
     mid = times[:-1] + dt / 2
-    stack = np.broadcast_to(0j, (n, d, d))  # the shape of the stack to come
-    slices = _linalg.row_slices(stack)
-    pooled = stack.nbytes > POOL_BYTES
+    pooled = u.nbytes > POOL_BYTES
 
-    # a mixed run's states hold its unitaries, U_k in row k+1 until rho_{k+1}
-    # is written over it; a pure run's states are too small to hold them
-    pure = s0.is_pure
-    states = None if pure else np.empty((n + 1, d, d), dtype=complex)
-
-    def midpoint_block(s):
-        if pure:
-            return p.matrices(mid[s])
-        rows = states[1:][s]
-        rows[...] = p.matrices(mid[s])
-        return rows
+    def midpoint_slice(s):
+        u[s] = p.matrices(mid[s])
+        return u[s]
 
     def unitaries(h, out=None):
         return _unitaries(*np.linalg.eigh(h), dt, p.hbar, out=out)
@@ -530,13 +526,10 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     def to_unitaries(h):
         _linalg.once_per_run(unitaries, h, out=h)
 
-    blocks, h_samp = _beside(to_unitaries, map(midpoint_block, slices), lambda: p.matrices(times), pooled)
-
-    if pure:
-        states = np.empty((n + 1, d), dtype=complex)
+    h_samp = _beside(to_unitaries, map(midpoint_slice, _linalg.row_slices(u)), lambda: p.matrices(times), pooled)
     states[0] = s0.amplitudes if pure else s0.matrix
-    _step_states(blocks, states)
-    del blocks
+    _step_states(u, states)
+    del u
 
     if pure:
         me = np.einsum("ti,tij,tj->t", states.conj(), h_samp, states).real
@@ -561,7 +554,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
             return _linalg.bures_angle_from_fidelity(_linalg.fidelity_from_sqrt(sqrt0, states))
 
         overlap = None
-        _, bures = _beside(moments, _linalg.row_slices(states), bures_angles, pooled)
+        bures = _beside(moments, _linalg.row_slices(states), bures_angles, pooled)
     bures[0] = 0.0
 
     # both checks are written to fail on NaN as well; an overflow is named below

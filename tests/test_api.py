@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +119,30 @@ def test_deleted_error_classes():
     assert not hasattr(qspeed.errors, "PureCheckOnMixedRun")
     # steps < 2 is a DomainError, as every other refusal of qdyn.step_size
     assert not hasattr(qspeed.errors, "StepCountTooSmall")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block under the README section ``heading``."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_quick_start_prints_what_its_comment_says(capsys):
+    """The quick start's run has tau_mt = tau_ml_lin = pi and an MT slack of 1,
+    and its audit passes."""
+    ns = {}
+    exec(readme_block("## Library quick start", "python"), ns)
+    report = ns["report"]
+    for value, expected in ((report.tau_mt, math.pi), (report.tau_ml_lin, math.pi), (report.slacks["mt"], 1.0)):
+        assert abs(value - expected) <= 1e-9
+    assert ns["audit"].passed is True
+    assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_readme_run_config_runs(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(readme_block("### Run configuration", "json"))
+    assert qspeed.cli.main(["run", str(config), "-o", str(tmp_path / "report.json")]) == 0

@@ -419,6 +419,28 @@ class TestPropagate:
         with pytest.raises(DomainError, match="evaluator or a stack"):
             HamiltonianProtocol(None, 1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"stack": lambda ts: np.zeros((len(ts), 0, 0))},
+            {"evaluator": lambda t: np.zeros((0, 0))},
+            {"evaluator": lambda t: SZ, "dim": -1},
+            {"evaluator": lambda t: SZ, "dim": 2.5},
+            {"evaluator": lambda t: SZ, "dim": True},
+            {"evaluator": lambda t: SZ, "dim": np.False_},
+        ],
+        ids=["empty_stack", "empty_evaluator_matrix", "negative", "fraction", "bool", "numpy_bool"],
+    )
+    def test_protocol_dim_must_be_an_integer_from_1(self, kwargs):
+        """A zero-dimensional H(t), given by a stack or an evaluator, and a
+        ``dim`` that is not an integer >= 1 are refused when the protocol is
+        built, not by numpy later."""
+        with pytest.raises(DimensionMismatch, match="dim must be an integer >= 1"):
+            HamiltonianProtocol(duration=1.0, **{"evaluator": None, **kwargs})
+
+    def test_protocol_dim_may_be_a_numpy_integer(self):
+        assert HamiltonianProtocol(lambda t: SZ, 1.0, dim=np.int64(2)).matrices([0.0]).shape == (1, 2, 2)
+
     def test_stack_protocol(self):
         """A stack protocol gets its dim from the stack."""
         p = HamiltonianProtocol(None, 2.0, stack=lambda ts: ts[:, None, None] * SZ)
@@ -431,12 +453,14 @@ class TestPropagate:
         with pytest.raises(DimensionMismatch, match=r"at t = 0\.75 has shape \(3, 3\), expected \(2, 2\)"):
             p.matrices([0.0, 0.25, 0.75])
 
-    def test_evaluator_stack_matches_np_stack(self):
-        """Samples converted per 256-sample block have the bits of one
-        conversion per sample, for partial, whole and several blocks."""
+    def test_evaluator_stack_matches_np_stack(self, small_slices):
+        """Samples converted one row slice at a time (3 at d = 4) have the
+        bits of one conversion per sample, for a partial slice, a whole one,
+        and several with a partial last one."""
         p = random_smooth_protocol(np.random.default_rng(24), 4)
-        for n in (33, 1, 255, 256, 257, 513):
+        for n, slices in ((1, 1), (3, 1), (4, 2), (9, 3), (34, 12)):
             ts = np.linspace(0.0, p.duration, n)
+            assert len(_linalg.row_slices(np.empty((n, 4, 4), dtype=complex))) == slices
             expected = np.stack([np.asarray(p.evaluator(float(t)), dtype=complex) for t in ts])
             assert p.matrices(ts).tobytes() == expected.tobytes()
 
@@ -450,12 +474,23 @@ class TestPropagate:
         expected = np.stack([np.asarray(h(t), dtype=complex) for t in ts.tolist()])
         assert HamiltonianProtocol(h, 1.0).matrices(ts).tobytes() == expected.tobytes()
 
-    def test_wrong_shape_in_second_block_names_t(self):
-        ts = np.arange(600) / 600
-        bad = float(ts[300])
-        p = HamiltonianProtocol(lambda t: np.eye(3) if t >= bad else SZ, 1.0)
+    def test_wrong_shape_in_second_slice_names_t(self, small_slices):
+        """Row slices of 15 samples at d = 2: a bad sample inside the second
+        slice is named once that slice has been evaluated to its end, and
+        the third slice is not evaluated."""
+        ts = np.arange(40) / 40
+        bad = float(ts[20])
+        calls = []
+
+        def evaluator(t):
+            calls.append(t)
+            return np.eye(3) if t >= bad else SZ
+
+        p = HamiltonianProtocol(evaluator, 1.0, dim=2)
+        assert [s.start for s in _linalg.row_slices(np.empty((40, 2, 2), dtype=complex))] == [0, 15, 30]
         with pytest.raises(DimensionMismatch, match=rf"at t = {bad!r} has shape \(3, 3\), expected \(2, 2\)"):
             p.matrices(ts)
+        assert calls == ts[:30].tolist()
 
     def test_shape_error_precedes_a_later_unconvertible_sample(self):
         """Errors come in sample order, as with one conversion per sample,
@@ -499,13 +534,13 @@ class TestPropagate:
         unitary, and every pass over a whole stack, the step loop's adjoints
         among them, works one 256 KiB row slice at a time, so a d = 16 mixed
         run peaks at no more than 2.5 (N+1, d, d) complex arrays: the states,
-        the samples and slices (2.37 measured)."""
+        the samples and slices (2.19 measured)."""
         assert self.d16_run_peak(random_mixed_state) <= 2.5
 
     def test_pure_run_memory_peak(self):
-        """A d = 16 pure run holds the unitaries and the samples, and 256 KiB
-        slices of both threads' work beside them: no more than 2.5 stacks
-        (2.36 measured)."""
+        """A d = 16 pure run holds its unitary array and the samples, and
+        256 KiB slices of both threads' work beside them, the evaluator's
+        conversion among them: no more than 2.5 stacks (2.25 measured)."""
         assert self.d16_run_peak(random_pure_state) <= 2.5
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
@@ -731,7 +766,7 @@ class TestMidpointWorker:
         def to_unitaries(block):
             _unitaries(*np.linalg.eigh(block), 0.037, 1.3, out=block)
 
-        assert _beside(to_unitaries, (h[s] for s in slices), lambda: "done", threads == 2)[1] == "done"
+        assert _beside(to_unitaries, (h[s] for s in slices), lambda: "done", threads == 2) == "done"
         assert h.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", [None, "instantaneous", "global"])
@@ -869,7 +904,7 @@ class TestMidpointWorker:
             def consume(k):
                 count[k] += 1
 
-            assert _beside(consume, range(len(count)), lambda: "done", True)[1] == "done"
+            assert _beside(consume, range(len(count)), lambda: "done", True) == "done"
 
         start = threading.active_count()
         interval = sys.getswitchinterval()
@@ -910,9 +945,13 @@ class TestMidpointWorker:
         assert isinstance(excinfo.value.__context__, ValueError)
         assert threading.active_count() == start
 
-    def test_beside_returns_the_items_it_was_given(self):
-        items = iter([3, 1, 2])
-        assert _beside(lambda k: None, items, lambda: "done", True) == ([3, 1, 2], "done")
+    def test_beside_returns_what_then_returns(self):
+        """Only ``then()``'s result comes back, once every item the iterable
+        yields has been consumed once, with the pool and without."""
+        for threaded in (False, True):
+            consumed = []
+            assert _beside(consumed.append, iter([3, 1, 2]), lambda: "done", threaded) == "done"
+            assert sorted(consumed) == [1, 2, 3]
 
     @pytest.mark.parametrize("pool_imported", [False, True])
     def test_propagate_while_the_interpreter_exits(self, pool_imported):
@@ -1109,17 +1148,27 @@ class TestSlicedPasses:
             assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
 
     def test_mixed_states_have_the_bits_of_a_whole_adjoint_stack(self, small_slices):
+        """Adjoints taken one row slice at a time give the bits of one
+        adjoint stack, from an array of unitaries of its own and from
+        unitaries that are the rows ``states[1:]`` the steps write over."""
         rng = np.random.default_rng(33)
         u = _unitaries(*np.linalg.eigh(hermitian_stack(40, 3)), 0.05, 1.0)
-        states = np.empty((41, 3, 3), dtype=complex)
-        states[0] = random_mixed_state(rng, 3).matrix
-        expected = states.copy()
+        rho0 = random_mixed_state(rng, 3).matrix
+        expected = np.empty((41, 3, 3), dtype=complex)
+        expected[0] = rho0
         uh = np.conj(np.swapaxes(u, -1, -2))
         for k in range(40):
             step = u[k] @ expected[k] @ uh[k]
             expected[k + 1] = (step + np.conj(step.T)) / 2
-        qdyn._step_states([u[s] for s in _linalg.row_slices(u)], states)
-        assert states.tobytes() == expected.tobytes()
+        assert len(_linalg.row_slices(u)) == 7
+        own = np.empty_like(expected)
+        own[0] = rho0
+        qdyn._step_states(u, own)
+        aliased = np.empty_like(expected)
+        aliased[0], aliased[1:] = rho0, u
+        qdyn._step_states(aliased[1:], aliased)
+        assert own.tobytes() == expected.tobytes()
+        assert aliased.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(40,), (), (2, 20)], ids=["stack", "single", "batch"])
     def test_fidelity_has_the_bits_of_a_whole_stack_pass(self, small_slices, shape):
