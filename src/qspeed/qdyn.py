@@ -170,7 +170,7 @@ class HamiltonianProtocol:
     is then used in place of ``evaluator``.  Hermiticity is validated on
     every evaluation.  ``dim`` 0 (the default) is read from H(0); a ``dim``
     that is not an integer >= 1 (or is a boolean), given or read, raises
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`, and any other is kept as a Python ``int``.
     """
 
     evaluator: Callable[[float], np.ndarray] | None
@@ -194,6 +194,7 @@ class HamiltonianProtocol:
             object.__setattr__(self, "dim", shape[1])
         if boolean or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise DimensionMismatch(f"H(t) dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t), the one-sample stack of :meth:`matrices`."""
@@ -203,14 +204,12 @@ class HamiltonianProtocol:
         """Stack of H(t) over the given sample times, shape (len(ts), d, d).
 
         One call of ``stack`` when it is set, else one ``evaluator`` call per
-        sample, in order, with samples converted to complex once per
-        :func:`_linalg.row_slices` slice of the stack: a matrix the evaluator
-        returns must not change when it is called again, and a slice runs to
-        its end before a wrongly shaped sample in it raises
-        :class:`DimensionMismatch`, so an evaluator error later in the slice
-        comes first.  Validates the shape, Hermiticity, and that every
-        entry is finite, once on the whole stack; subclasses may override to
-        batch further per-sample work.  :func:`propagate` asks for the
+        sample, in order, each sample converted to complex and copied into
+        the stack before the evaluator is called again, so an evaluator may
+        return the same array, or views of it, every time; a wrongly shaped
+        sample raises :class:`DimensionMismatch` naming its t before the next
+        call.  Validates the shape, Hermiticity, and that every entry is
+        finite, once on the whole stack.  :func:`propagate` asks for the
         midpoints one row slice of about 256 KiB at a time, so from d = 3 on
         at N = 2048 a ``stack`` is called once per midpoint slice, and then
         once for the samples.
@@ -228,24 +227,17 @@ class HamiltonianProtocol:
             if stack.shape != (len(ts), self.dim, self.dim):
                 raise DimensionMismatch(f"H(t) stack has shape {stack.shape}, expected {(len(ts), self.dim, self.dim)}")
         else:
-            stack = np.empty((len(ts), self.dim, self.dim), dtype=complex)
-            times = ts.tolist()
-            for s in _linalg.row_slices(stack):
-                block = [self.evaluator(t) for t in times[s]]
-                try:
-                    hs = np.array(block, dtype=complex)
-                except (TypeError, ValueError):
-                    hs = None
-                if hs is not None and hs.shape[1:] == stack.shape[1:]:
-                    stack[s] = hs
-                else:
-                    # ragged or wrongly shaped: convert per sample to name the first bad t
-                    for k, (t, h) in enumerate(zip(times[s], block), s.start):
-                        h = np.asarray(h, dtype=complex)
-                        if h.shape != stack.shape[1:]:
-                            raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {stack.shape[1:]}")
-                        stack[k] = h
-                del block, hs  # freed before the next slice and the Hermiticity check
+            shape = (self.dim, self.dim)
+
+            def samples():
+                for t in ts.tolist():
+                    h = np.asarray(self.evaluator(t), dtype=complex)
+                    if h.shape != shape:
+                        raise DimensionMismatch(f"H(t) at t = {t!r} has shape {h.shape}, expected {shape}")
+                    yield h
+
+            # fromiter copies each sample into the stack before the evaluator runs again
+            stack = np.fromiter(samples(), dtype=np.dtype((complex, shape)), count=len(ts))
         return _linalg.require_hermitian(stack, what="H(t) on the sample grid")
 
 
@@ -567,8 +559,9 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         raise NotPositive(f"energy variance dipped to {lowest:.3e} along the trajectory")
     var = np.clip(var, 0.0, None)
 
-    # tr(rho^2), which is |psi|^4 for a state vector
-    purities = np.linalg.norm(states, axis=1) ** 4 if pure else np.einsum("tij,tji->t", states, states).real
+    # tr(rho^2), which is |psi|^4 for a state vector; an overflow is named below
+    with np.errstate(over="ignore"):
+        purities = np.linalg.norm(states, axis=1) ** 4 if pure else np.einsum("tij,tji->t", states, states).real
     drift = float(np.max(np.abs(purities - purities[0])))
     if not drift <= 1e-8:
         if not math.isfinite(drift):
