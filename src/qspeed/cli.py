@@ -153,11 +153,12 @@ def _refuse_unknown(obj: dict, accepted, prefix: str = "", context: str = ""):
 
 
 def _decode_entry(entry, where: str) -> complex:
-    if isinstance(entry, dict) and set(entry) <= {"re", "im"}:
+    """A number, or an object with ``re``, ``im`` or both (a missing part is 0)."""
+    if isinstance(entry, dict) and entry and set(entry) <= {"re", "im"}:
         return complex(_finite(entry.get("re", 0.0), f"{where}.re"), _finite(entry.get("im", 0.0), f"{where}.im"))
     if isinstance(entry, (int, float)):
         return complex(_finite(entry, where))
-    raise BadConfig(f"{where}: matrix entries must be numbers or {{re, im}} objects")
+    raise BadConfig(f"{where}: entries must be numbers or objects with 're', 'im' or both")
 
 
 def decode_matrix(raw, dim: int, where: str) -> np.ndarray:

@@ -319,15 +319,13 @@ def _beside(consume: Callable, items, then: Callable, threaded: bool):
 
     With ``threaded``, a one-thread pool that this call owns, and shuts down
     before it returns, consumes each item as soon as ``items`` yields it,
-    while this thread goes on with ``items`` and then runs ``then``; once
-    ``then`` is done, this thread consumes the items that the pool has not
-    started (their ``Future.cancel()`` succeeds) and waits for the others.
-    Without, or where the pool refuses work because the interpreter has
-    begun to exit, this thread consumes the items after ``then``.  Errors
-    come in the order of running the three in sequence: an exception of
-    ``items`` is raised at once, without those of ``consume``, and the
-    exception of ``consume`` on the earliest item that failed in place of
-    one of ``then`` (chained to it).
+    while this thread goes on with ``items`` and then runs ``then``, and
+    then waits for every item.  Without, or where the pool refuses work
+    because the interpreter has begun to exit, this thread consumes the
+    items after ``then``.  Errors come in the order of running the three in
+    sequence: an exception of ``items`` is raised at once, without those of
+    ``consume``, and the exception of ``consume`` on the earliest item that
+    failed in place of one of ``then`` (chained to it).
     """
     pool = None
     if threaded:
@@ -349,7 +347,7 @@ def _beside(consume: Callable, items, then: Callable, threaded: bool):
             return then()
         finally:
             for item, job in jobs:
-                if job is None or job.cancel():
+                if job is None:
                     consume(item)
                 else:
                     job.result()
@@ -363,24 +361,34 @@ def _step_states(u: np.ndarray, states: np.ndarray):
     time.  The unitaries of density matrices may be the rows
     ``states[1:]`` they step into: a slice's adjoints are taken before its
     rows are written, and step k reads U_k before it writes rho_{k+1} over
-    it."""
+    it.
+
+    The products go through ``np.dot``, which makes the BLAS call that
+    ``np.matmul`` makes for these layouts, with the same bits and less
+    dispatch (a test pins this).  step† is read from the transposed view of
+    ``step`` into the contiguous ``adj``, which costs less than writing into
+    a transposed view.  The halving stays a complex division: multiplying
+    by 0.5 gives a real part of -0.0 for -0 + 1j, where the division gives
+    +0.0."""
+    dot = np.dot
     if states.ndim == 2:
         for uk, src, dst in zip(u, states, states[1:]):
-            np.matmul(uk, src, dst)
+            dot(uk, src, dst)
         return
+    conjugate, add, divide = np.conjugate, np.add, np.divide
     left, step, adj = (np.empty(states.shape[1:], dtype=complex) for _ in range(3))
-    adj_t, two = adj.T, np.complex128(2)
+    step_t, two = step.T, np.complex128(2)
     for s in _linalg.row_slices(u):
         # U_k† of the slice, in the transposed layout np.conj(np.swapaxes(u))
-        # has: a matmul's bits may depend on the layout of its operands
+        # has: a product's bits may depend on the layout of its operands
         adjoints = np.conjugate(np.swapaxes(u[s], -1, -2))
         for uk, uhk, src, dst in zip(u[s], adjoints, states[s], states[1:][s]):
-            np.matmul(uk, src, left)
-            np.matmul(left, uhk, step)
+            dot(uk, src, left)
+            dot(left, uhk, step)
             # adj = step†, then dst = (step + step†) / 2, as _linalg.symmetrize
-            np.conjugate(step, adj_t)
-            np.add(step, adj, adj)
-            np.divide(adj, two, dst)
+            conjugate(step_t, adj)
+            add(step, adj, adj)
+            divide(adj, two, dst)
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -462,9 +470,9 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     then at the N+1 samples.  When the unitary
     array holds more than ``POOL_BYTES`` (2 MiB: d >= 9 at N = 2048), a
     one-thread pool of this call's own turns each slice into unitaries as
-    soon as it is evaluated, and the calling thread takes the slices that the
-    pool has not started once the samples are evaluated; a mixed run's <H_t>
-    and <H_t^2> are then taken on such a pool too, beside the fidelities.  A
+    soon as it is evaluated, and the calling thread waits for them once the
+    samples are evaluated; a mixed run's <H_t> and <H_t^2> are then taken
+    on such a pool too, beside the fidelities.  A
     smaller array builds no pool, however many slices it spans, and its
     slices become unitaries once the samples are evaluated.  The bits are
     the same either way.

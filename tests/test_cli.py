@@ -587,6 +587,16 @@ class TestRunCommand:
             ({**BENCH, "kind": "landau_zener", "dim": 3, "params": {}}, "landau_zener requires dim = 2"),
             ({**BENCH, "kind": "rabi_qubit", "params": {"omega0": 1.0, "amplitude": 0.5}}, "'drive_frequency'"),
             ({**BENCH, "kind": "landau_zener", "params": {"gap": 1.0}}, "'sweep_rate'"),
+            ({**BENCH, "params": {"matrix": [[0, {}], [{}, 1]]}}, "params.matrix[0][1]"),
+            (
+                {**PWC, "params": {"segments": [{"matrix": [[0, {}], [{}, 1]], "duration": math.pi}]}},
+                "params.segments[0].matrix[0][1]",
+            ),
+            (
+                {**SAMPLES, "params": {"samples": [{"t": 0.0, "matrix": Z2}, {"t": math.pi, "matrix": [[{}, 0], [0, 1]]}]}},
+                "params.samples[1].matrix[0][0]",
+            ),
+            ({**BENCH, "initial_state": {"amplitudes": [1, {}]}}, "initial_state.amplitudes[1]"),
         ],
         ids=[
             "entry_list",
@@ -608,6 +618,10 @@ class TestRunCommand:
             "landau_zener_dim_3",
             "rabi_missing_param",
             "landau_zener_missing_param",
+            "entry_empty_object",
+            "segment_entry_empty_object",
+            "sample_entry_empty_object",
+            "amplitude_empty_object",
         ],
     )
     def test_bad_kind_input_exit_2_names_path(self, tmp_path, capsys, doc, path):
@@ -616,6 +630,21 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, doc), "-o", str(out)]) == 2
         assert re.search(re.escape(path) + r"(?![\[.\w])", capsys.readouterr().err)
         assert not out.exists()
+
+    def test_entry_object_may_give_one_part(self, tmp_path):
+        """``{"re": x}`` and ``{"im": y}`` read the missing part as 0, in a
+        matrix and in amplitudes."""
+        reports = []
+        for matrix, amplitudes in (
+            ([[0, 0.5], [0.5, 1]], [{"re": 0.6, "im": 0}, {"re": 0, "im": 0.8}]),
+            ([[{"im": 0}, {"re": 0.5}], [{"re": 0.5}, {"re": 1}]], [{"re": 0.6}, {"im": 0.8}]),
+        ):
+            doc = {**BENCH, "steps": 64, "params": {"matrix": matrix}, "initial_state": {"amplitudes": amplitudes}}
+            out = tmp_path / f"out{len(reports)}.json"
+            code = main(["run", write_config(tmp_path, doc), "-o", str(out)])
+            reports.append((code, out.read_bytes()))
+        assert reports[0][0] in (0, 4)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "doc, typo",

@@ -387,6 +387,8 @@ class TestPropagate:
             pytest.param(1, False, None, id="mixed-d1"),
             pytest.param(8, True, None, id="pure-d8"),
             pytest.param(8, False, None, id="mixed-d8"),
+            pytest.param(16, True, None, id="pure-d16"),
+            pytest.param(16, False, None, id="mixed-d16"),
             pytest.param(2, True, "instantaneous", id="pure-piecewise"),
             pytest.param(2, False, "instantaneous", id="mixed-piecewise"),
             pytest.param(2, True, "global", id="pure-piecewise-global"),
@@ -416,6 +418,43 @@ class TestPropagate:
             assert np.array_equal(traj.states, states)
             assert np.array_equal(traj.mean_energy, me)
             assert np.array_equal(traj.bures_from_initial, bures)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_dot_gives_the_bits_of_matmul_on_the_step_operands(self, dim):
+        """``_step_states`` takes its products with ``np.dot``, which makes
+        ``np.matmul``'s BLAS call with less dispatch.  Compared as bits on each
+        operand layout the loop passes: a C-ordered unitary times a state
+        vector or a density matrix, a product times the transposed-layout
+        adjoints of a slice, and a mixed run's unitaries that are its rows
+        ``states[1:]``.  On a numpy or BLAS where the two calls differ, this
+        fails before a report drifts."""
+        rng = np.random.default_rng(dim)
+        n = 24
+        u = _unitaries(*np.linalg.eigh(hermitian_stack(n, dim, seed=dim)), 0.3, 1.0)
+        states = np.empty((n + 1, dim, dim), dtype=complex)
+        states[0] = random_mixed_state(rng, dim).matrix
+        states[1:] = u
+        rows = states[1:]
+        adjoints = np.conjugate(np.swapaxes(u, -1, -2))
+        row_adjoints = np.conjugate(np.swapaxes(rows, -1, -2))
+        assert adjoints[0].flags.f_contiguous and row_adjoints[0].flags.f_contiguous
+        psis = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+        products = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+
+        def bits(multiply, a, b):
+            out = np.empty(a.shape[:1] + b.shape[1:], dtype=complex)
+            multiply(a, b, out)
+            return out.view(np.uint64)
+
+        for k in range(n):
+            for a, b in (
+                (u[k], psis[k]),
+                (u[k], products[k]),
+                (products[k], adjoints[k]),
+                (rows[k], products[k]),
+                (products[k], row_adjoints[k]),
+            ):
+                assert np.array_equal(bits(np.dot, a, b), bits(np.matmul, a, b))
 
     def test_step_unitary_is_a_slice_of_the_stacked_build(self):
         rng = np.random.default_rng(22)
@@ -940,8 +979,8 @@ class TestMidpointWorker:
 
     def test_every_item_is_consumed_once_under_contention(self):
         """Four callers, each with a thread of its own, hand over 2,000 items
-        apiece at a shortened switch interval: each item is consumed once, by
-        whichever thread takes it, and no thread is left."""
+        apiece at a shortened switch interval: each item is consumed once, on
+        its caller's pool, and no thread is left."""
         counts = [np.zeros(2000, dtype=int) for _ in range(4)]
 
         def caller(count):
