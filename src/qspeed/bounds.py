@@ -75,10 +75,14 @@ def time_avg_energy_variance(traj: Trajectory) -> float:
 
 
 def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> float:
-    """``formula(L, rate)`` under the rule every time hbar f(L) / rate shares:
+    """``formula(L, rate, hbar)`` under the rule every time hbar f(L) / rate shares:
     L in [0, pi/2], clipped; hbar finite and > 0; the rate (``what``) finite,
     clamped at 0 above -1e-9 relative and :class:`NegativeEnergy` below it.
-    L = 0 gives 0 and rate = 0 < L gives +inf."""
+    L = 0 gives 0 and rate = 0 < L gives +inf.  A time that comes out 0 or
+    inf, as when hbar L, 4 hbar or pi^2 rate passes ~1e307 on the way, is
+    evaluated again on the mantissas of hbar and the rate, where nothing
+    overflows, and scaled by their exponents last; every other time keeps
+    its bits."""
     if not -1e-12 <= ell <= HALF_PI + 1e-9:
         raise DomainError(f"Bures angle {ell!r} outside [0, pi/2]")
     require_positive(hbar, "hbar")
@@ -89,12 +93,21 @@ def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> fl
     ell = min(max(ell, 0.0), HALF_PI)
     if ell == 0.0:
         return 0.0
-    return formula(ell, rate) if rate > 0 else math.inf
+    if rate <= 0.0:  # clamped at 0
+        return math.inf
+    t = formula(ell, rate, hbar)
+    if 0.0 < t < math.inf:
+        return t
+    (h, h_exp), (r, r_exp) = math.frexp(hbar), math.frexp(rate)
+    try:
+        return math.ldexp(formula(ell, r, h), h_exp - r_exp)
+    except OverflowError:
+        return math.inf
 
 
 def tau_mt(ell: float, de_avg: float, hbar: float) -> float:
     """Variance-route bound hbar L / dE_avg."""
-    return _speed_limit(ell, de_avg, hbar, "time-averaged energy spread", lambda ell, de: hbar * ell / de)
+    return _speed_limit(ell, de_avg, hbar, "time-averaged energy spread", lambda ell, de, hbar: hbar * ell / de)
 
 
 def tau_ml_quadratic(ell: float, e_avg: float, hbar: float) -> float:
@@ -104,12 +117,9 @@ def tau_ml_quadratic(ell: float, e_avg: float, hbar: float) -> float:
     numerical studies of undriven systems; both appear in the literature and
     this function implements the analytically derived one.
     """
-    def formula(ell, e):
-        bound = 4.0 * hbar * ell * ell / (math.pi**2 * e)
-        # inf / inf when hbar and E_avg both pass ~1e307; the ratio itself is finite
-        return bound if bound == bound else 4.0 * ell * ell / math.pi**2 * (hbar / e)
-
-    return _speed_limit(ell, e_avg, hbar, "time-averaged mean energy", formula)
+    return _speed_limit(
+        ell, e_avg, hbar, "time-averaged mean energy", lambda ell, e, hbar: 4.0 * hbar * ell * ell / (math.pi**2 * e)
+    )
 
 
 def tau_ml_linear(ell: float, e_avg: float, hbar: float) -> float:
@@ -117,7 +127,7 @@ def tau_ml_linear(ell: float, e_avg: float, hbar: float) -> float:
 
     Always >= the quadratic form since L <= pi/2 implies 4 L^2 / pi^2 <= L.
     """
-    return _speed_limit(ell, e_avg, hbar, "time-averaged mean energy", lambda ell, e: hbar * ell / e)
+    return _speed_limit(ell, e_avg, hbar, "time-averaged mean energy", lambda ell, e, hbar: hbar * ell / e)
 
 
 # the mean-energy bounds by ``mode``; qsl_time and the run config accept these keys

@@ -132,7 +132,7 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge integer, deep nesting
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
 
 
@@ -485,7 +485,9 @@ def sweep_command(config_path: str, parameter: str, values: list[float], output:
 
 def audit_command(config_path: str, tol: float | None = None, output: str | None = None) -> int:
     raw = load_config(config_path)
-    cfg = ProtocolConfig.from_dict(raw if tol is None else {**raw, "audit_tolerance": tol})
+    if tol is not None and isinstance(raw, dict):  # else from_dict names the fault
+        raw = {**raw, "audit_tolerance": tol}
+    cfg = ProtocolConfig.from_dict(raw)
     doc, report, audit, failed = run_pipeline(cfg)
     for c in audit.checks:
         status = "pass" if c.passed else "FAIL"

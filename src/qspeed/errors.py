@@ -16,7 +16,8 @@ class NotHermitian(QspeedError):
 
 
 class NotNormalized(QspeedError):
-    """State norm / trace / distribution normalization is off beyond tolerance."""
+    """A trace or normalization is off beyond tolerance: a state's norm or trace,
+    a distribution's total, or a perturbation's trace that must vanish."""
 
 
 class NotPositive(QspeedError):
@@ -27,10 +28,6 @@ class NotFinite(QspeedError):
     """A value that must be a finite number is NaN or infinite."""
 
 
-class NotTraceless(QspeedError):
-    """A perturbation that must be traceless carries a trace beyond tolerance."""
-
-
 class DimensionMismatch(QspeedError):
     """Operands live in Hilbert spaces of different dimension."""
 
@@ -39,16 +36,9 @@ class GridMismatch(QspeedError):
     """Two sampled distributions do not share the same grid."""
 
 
-class ParameterOutOfRange(QspeedError):
-    """A parameter value is outside the sampled (interior) range."""
-
-
-class TooFewSamples(QspeedError):
-    """A trajectory has too few samples for the requested analysis."""
-
-
 class DomainError(QspeedError):
-    """A scalar argument is outside its mathematical domain."""
+    """An argument is outside its domain: a scalar out of range, a parameter
+    that is not an interior sample, or a run too short to use."""
 
 
 class NegativeEnergy(QspeedError):

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .errors import (
-    DimensionMismatch,
-    GridMismatch,
-    NotFinite,
-    NotNormalized,
-    NotTraceless,
-    ParameterOutOfRange,
-)
+from .errors import DimensionMismatch, DomainError, GridMismatch, NotFinite, NotNormalized
 from .qdyn import QuantumState
 
 __all__ = [
@@ -143,9 +136,9 @@ class DistributionTrack:
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.parameter_values - t)))
         if abs(self.parameter_values[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ParameterOutOfRange(f"t={t:g} is not a sampled parameter value")
+            raise DomainError(f"t={t:g} is not a sampled parameter value")
         if not 0 < idx < self.parameter_values.size - 1:
-            raise ParameterOutOfRange(f"t={t:g} is not interior to the sampled range")
+            raise DomainError(f"t={t:g} is not interior to the sampled range")
         return idx
 
 
@@ -201,7 +194,7 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     _linalg.require_hermitian(drho, 1e-9 * scale, "drho")
     tr = complex(np.trace(drho))
     if not abs(tr) <= 1e-9 * scale:
-        raise NotTraceless(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
+        raise NotNormalized(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
     w, v = _linalg.eigh_checked(rho.density_matrix(), what="state")
     p = np.clip(w, 0.0, None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, TooFewSamples
+from .errors import DomainError
 from .qdyn import Trajectory
 
 __all__ = [
@@ -120,7 +120,7 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
         raise DomainError(f"audit tolerance must be a finite number >= 0, got {tol}")
     n = traj.n_samples
     if n < MIN_SAMPLES:
-        raise TooFewSamples(f"audit needs at least {MIN_SAMPLES} samples, got {n}")
+        raise DomainError(f"audit needs at least {MIN_SAMPLES} samples, got {n}")
     pure = traj.is_pure
 
     hbar = traj.hbar

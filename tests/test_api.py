@@ -119,6 +119,10 @@ def test_deleted_error_classes():
     assert not hasattr(qspeed.errors, "PureCheckOnMixedRun")
     # steps < 2 is a DomainError, as every other refusal of qdyn.step_size
     assert not hasattr(qspeed.errors, "StepCountTooSmall")
+    # each fault has one class: a run too short or a parameter outside the
+    # sampled interior is a DomainError, a perturbation's trace NotNormalized
+    for name in ("TooFewSamples", "ParameterOutOfRange", "NotTraceless"):
+        assert not hasattr(qspeed.errors, name)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,7 +1,9 @@
 """Time-averaged energies, the three bound formulas, and report assembly."""
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +163,25 @@ class TestBoundFormulas:
     def test_quadratic_bound_finite_when_both_products_overflow(self):
         # 4 hbar L^2 and pi^2 E_avg both overflow; their ratio is 4 / pi^2
         assert tau_ml_quadratic(1.0, 1e308, 1e308) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
+
+    @pytest.mark.parametrize("hbar", [1e300, 1e308, 1.5e308, 1.7e308])
+    @pytest.mark.parametrize("ell, rate", [(1.5, 1.0), (1.5, 10.0), (0.3, 1e300), (1.5, 1e308)])
+    def test_no_time_overflows_on_the_way(self, hbar, ell, rate):
+        """hbar L, 4 hbar and pi^2 rate may overflow, the time does not (nor
+        does it underflow to 0 through pi^2 rate): it is the exact ratio
+        within rounding, and inf only above the float range."""
+        e, h, r = Fraction(ell), Fraction(hbar), Fraction(rate)
+        exact = {
+            tau_mt: h * e / r,
+            tau_ml_linear: h * e / r,
+            tau_ml_quadratic: 4 * h * e * e / (Fraction(math.pi**2) * r),
+        }
+        for formula, value in exact.items():
+            t = formula(ell, rate, hbar)
+            if value > sys.float_info.max:
+                assert t == math.inf, formula
+            else:
+                assert t == pytest.approx(float(value), rel=1e-15), formula
 
     def test_qsl_linear_in_hbar(self):
         base = qsl_time(0.7, 1.3, 0.9, 1.0)

@@ -59,6 +59,15 @@ PWC = {**BENCH, "kind": "piecewise_const"}
 SAMPLES = {**BENCH, "kind": "matrix_samples"}
 
 
+# files that are not UTF-8 JSON; each verb refuses them with exit 2, naming the file
+MALFORMED_CONFIGS = {
+    "truncated": b'{"kind": "constant",',
+    "not_utf8": b"\xff\xfe\x00{",
+    "huge_integer": json.dumps({**BENCH, "steps": "N"}).replace('"N"', "9" * 5000).encode(),
+    "deep_array": b"[" * 100000,
+}
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -307,6 +316,18 @@ class TestRunCommand:
         names = [c["name"] for c in doc["audit"]["checks"]]
         assert len(names) == 7
 
+    def test_rescaled_benchmark_keeps_its_slacks(self, tmp_path):
+        """E and hbar scaled by 1e150 and 1e308: 4 hbar and hbar L overflow
+        on the way to the bounds, which stay finite and in their order."""
+        small = {**BENCH, "steps": 64}
+        huge = {**small, "hbar": 1e308, "duration": math.pi * 1e158, "params": {"matrix": [[0, 0], [0, 1e150]]}}
+        slacks = []
+        for raw in (small, huge):
+            out = tmp_path / "out.json"
+            assert main(["run", write_config(tmp_path, raw), "-o", str(out)]) == 0
+            slacks.append(json.loads(out.read_text())["qsl"]["slacks"])
+        assert slacks[1] == pytest.approx(slacks[0], rel=1e-12, abs=0)
+
     def test_stationary_run(self, tmp_path):
         cfg = write_config(tmp_path, {**BENCH, "initial_state": {"amplitudes": [1, 0]}})
         out = tmp_path / "out.json"
@@ -327,10 +348,13 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"kind": "constant",')
-        assert main(["run", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        for name, content in MALFORMED_CONFIGS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            for verb, *flags in (["run"], ["audit"], ["sweep", "--param", "steps", "--values", "64"]):
+                assert main([verb, str(path), *flags]) == 2, (name, verb)
+                err = capsys.readouterr().err
+                assert err.startswith(f"[qspeed] config error: config file {path} is not valid JSON: "), err
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BENCH, "steps": 64})
@@ -774,6 +798,23 @@ class TestRunCommand:
         assert main(["run", cfg]) == 0
         assert done.stdout == capsys.readouterr().out.encode()
 
+    @pytest.mark.parametrize(
+        "content, verb",
+        [(MALFORMED_CONFIGS[name], ["run"]) for name in ("not_utf8", "huge_integer", "deep_array")]
+        + [(b"[1, 2]", ["audit", "--tol", "1e-6"])],
+        ids=["not_utf8", "huge_integer", "deep_array", "audit_tol_on_list"],
+    )
+    def test_module_entry_point_malformed_config_exit_2(self, tmp_path, content, verb):
+        """Under -W error a malformed file exits 2 with a config error and no
+        traceback; only a fresh interpreter can show that none escapes."""
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-m", "qspeed", verb[0], str(path), *verb[1:]]
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 2, done.stderr.decode()
+        assert done.stderr.startswith(b"[qspeed] config error: ") and b"Traceback" not in done.stderr
+
     def test_module_entry_point_with_threads_exits(self, tmp_path):
         """A d = 16 mixed run's midpoint stack holds more than 2 MiB, so it
         runs work on per-call threads; the interpreter still exits, under
@@ -923,6 +964,12 @@ class TestAuditCommand:
         cfg = write_config(tmp_path, {**BENCH, "steps": 16, "audit_tolerance": tol})
         assert main(["audit", cfg]) == 2
         assert capsys.readouterr().err == from_flag
+
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-6"]])
+    def test_non_object_config_exit_2(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["audit", cfg, *flags]) == 2
+        assert capsys.readouterr().err == "[qspeed] config error: config must be a JSON object\n"
 
     @pytest.mark.parametrize("state", ["equal_superposition", {"matrix": [[0.7, 0.1], [0.1, 0.3]]}])
     def test_audit_writes_the_run_report(self, tmp_path, state):

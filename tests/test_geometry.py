@@ -30,12 +30,11 @@ from qspeed import (
 )
 from qspeed.errors import (
     DimensionMismatch,
+    DomainError,
     GridMismatch,
     NotFinite,
     NotHermitian,
     NotNormalized,
-    NotTraceless,
-    ParameterOutOfRange,
 )
 
 
@@ -249,9 +248,9 @@ class TestFisherInformation:
 
     def test_parameter_out_of_range(self):
         track = gaussian_track(1.0)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(DomainError, match=r"^t=0\.123457 is not a sampled parameter value$"):
             fisher_information_1d(track, 0.12345678)  # not a sampled value
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(DomainError, match=r"^t=-0\.005 is not interior to the sampled range$"):
             fisher_information_1d(track, float(track.parameter_values[0]))  # boundary
 
 
@@ -332,7 +331,7 @@ class TestBuresIncrement:
     def test_rejects_traced_perturbation(self):
         rng = np.random.default_rng(8)
         rho = random_mixed_state(rng, 2)
-        with pytest.raises(NotTraceless):
+        with pytest.raises(NotNormalized, match=r"^drho has trace 2\.000e\+00\+0\.000e\+00j \(must vanish within 1e-9\)$"):
             bures_increment(rho, np.eye(2))
 
     def test_rejects_non_hermitian_perturbation(self):
