@@ -78,11 +78,12 @@ def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> fl
     """``formula(L, rate, hbar)`` under the rule every time hbar f(L) / rate shares:
     L in [0, pi/2], clipped; hbar finite and > 0; the rate (``what``) finite,
     clamped at 0 above -1e-9 relative and :class:`NegativeEnergy` below it.
-    L = 0 gives 0 and rate = 0 < L gives +inf.  A time that comes out 0 or
-    inf, as when hbar L, 4 hbar or pi^2 rate passes ~1e307 on the way, is
-    evaluated again on the mantissas of hbar and the rate, where nothing
-    overflows, and scaled by their exponents last; every other time keeps
-    its bits."""
+    L = 0 gives 0 and rate = 0 < L gives +inf.  The formula is evaluated on
+    the mantissas of hbar and the rate, in [0.5, 1), and scaled by their
+    exponents last, so hbar L, 4 hbar or pi^2 rate cannot overflow or
+    underflow on the way (only L^2 can, for L below ~1e-154); scaling by a
+    power of two is exact, so a time whose direct evaluation stays normal
+    keeps its bits."""
     if not -1e-12 <= ell <= HALF_PI + 1e-9:
         raise DomainError(f"Bures angle {ell!r} outside [0, pi/2]")
     require_positive(hbar, "hbar")
@@ -95,9 +96,6 @@ def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> fl
         return 0.0
     if rate <= 0.0:  # clamped at 0
         return math.inf
-    t = formula(ell, rate, hbar)
-    if 0.0 < t < math.inf:
-        return t
     (h, h_exp), (r, r_exp) = math.frexp(hbar), math.frexp(rate)
     try:
         return math.ldexp(formula(ell, r, h), h_exp - r_exp)

@@ -181,7 +181,20 @@ class TestBoundFormulas:
             if value > sys.float_info.max:
                 assert t == math.inf, formula
             else:
-                assert t == pytest.approx(float(value), rel=1e-15), formula
+                assert t == pytest.approx(float(value), rel=1e-15, abs=0.0), formula
+
+    @pytest.mark.parametrize("ell, rate, hbar", [(1.5, 1e-300, 5e-324), (0.3, 1e-300, 1e-310), (1.5, 1e-250, 1e-300)])
+    def test_no_time_underflows_on_the_way(self, ell, rate, hbar):
+        """A subnormal hbar, or hbar L near the bottom of the float range,
+        loses no digits: the time is the exact ratio within rounding."""
+        e, h, r = Fraction(ell), Fraction(hbar), Fraction(rate)
+        exact = {
+            tau_mt: h * e / r,
+            tau_ml_linear: h * e / r,
+            tau_ml_quadratic: 4 * h * e * e / (Fraction(math.pi**2) * r),
+        }
+        for formula, value in exact.items():
+            assert formula(ell, rate, hbar) == pytest.approx(float(value), rel=1e-15, abs=0.0), formula
 
     def test_qsl_linear_in_hbar(self):
         base = qsl_time(0.7, 1.3, 0.9, 1.0)
