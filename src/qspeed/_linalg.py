@@ -97,12 +97,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
 
 
-def eigh_checked(h: np.ndarray, what: str = "matrix"):
-    """Ascending eigendecomposition after a Hermiticity check."""
-    require_hermitian(h, what=what)
-    return np.linalg.eigh(h)
-
-
 def clamped_nonneg(w: np.ndarray, what: str = "operator") -> np.ndarray:
     """Clamp small negative eigenvalues to 0; reject genuine negativity."""
     lo = float(np.min(w)) if w.size else 0.0
@@ -118,7 +112,7 @@ def _floor_noise(w: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(rho: np.ndarray, what: str = "state") -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix."""
-    w, v = eigh_checked(rho, what=what)
+    w, v = np.linalg.eigh(require_hermitian(rho, what=what))
     w = _floor_noise(clamped_nonneg(w, what))
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -142,4 +136,4 @@ def fidelity_from_sqrt(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bures_angle_from_fidelity(f) -> np.ndarray:
     """arccos(sqrt F) with the argument clamped into [0, 1]."""
-    return np.arccos(np.clip(np.sqrt(np.clip(f, 0.0, 1.0)), 0.0, 1.0))
+    return np.arccos(np.sqrt(np.clip(f, 0.0, 1.0)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DomainError, NegativeEnergy, NotFinite
-from .qdyn import Trajectory, require_positive
+from .qdyn import Trajectory, require_positive, run_integral
 
 __all__ = [
     "QSLReport",
@@ -54,7 +54,8 @@ ANGLE_NOISE_FLOOR = 1e-7
 
 
 def time_avg_mean_energy(traj: Trajectory) -> float:
-    """(1/tau) integral of <H_t> dt by the trapezoid rule on the run grid.
+    """(1/tau) integral of <H_t> dt by the trapezoid rule on the run grid,
+    on the mantissas of dt and tau (:func:`~qspeed.qdyn.run_integral`).
 
     The trajectory must come from a ground-shifted protocol; a sample mean
     energy below -1e-9 (relative to the energy scale) raises
@@ -66,12 +67,12 @@ def time_avg_mean_energy(traj: Trajectory) -> float:
         raise NegativeEnergy(
             f"mean energy dips to {me.min():.3e}; the protocol was not ground-shifted"
         )
-    return float(np.trapezoid(me, dx=traj.dt) / traj.tau)
+    return run_integral(me, traj.dt, traj.tau, "<H> / tau")
 
 
 def time_avg_energy_variance(traj: Trajectory) -> float:
-    """(1/tau) integral of sqrt(<H_t^2> - <H_t>^2) dt by the trapezoid rule."""
-    return float(np.trapezoid(np.sqrt(traj.energy_variance), dx=traj.dt) / traj.tau)
+    """(1/tau) integral of sqrt(<H_t^2> - <H_t>^2) dt, formed as :func:`time_avg_mean_energy`'s."""
+    return run_integral(np.sqrt(traj.energy_variance), traj.dt, traj.tau, "dE / tau")
 
 
 def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> float:

@@ -221,13 +221,6 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
 def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
     """Realize the configured protocol kind as a HamiltonianProtocol whose
     ``stack`` evaluates H on a whole time grid in one call."""
@@ -284,7 +277,7 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
         if not math.isfinite(cfg.hbar * w0 * math.exp(max(gamma * tau, 0.0)) * (d - 1)):
             raise _overflow(cfg, 0, "hbar * {} * exp(max(pump_rate * duration, 0)) * (dim - 1)")
         number_op = np.diag(np.arange(d, dtype=float)).astype(complex)
-        a = _ladder(d)
+        a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
         squeeze_op = a @ a + (a @ a).conj().T
         if not math.isfinite(lam * float(np.abs(squeeze_op).max())):
             raise _overflow(cfg, 2, "{} * sqrt((dim - 1) * (dim - 2))")
@@ -310,9 +303,6 @@ def build_protocol(cfg: ProtocolConfig) -> qdyn.HamiltonianProtocol:
             i = np.clip(np.searchsorted(knots_arr, ts, side="right") - 1, 0, len(knots_arr) - 2)
             w = ((ts - knots_arr[i]) / gaps[i])[:, None, None]
             return (1.0 - w) * table[i] + w * table[i + 1]
-
-    else:  # pragma: no cover - guarded by ProtocolConfig
-        raise BadConfig(f"unknown protocol kind '{kind}'")
 
     return qdyn.HamiltonianProtocol(None, tau, cfg.hbar, cfg.label, d, stack=stack)
 

@@ -196,7 +196,7 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     if not abs(tr) <= 1e-9 * scale:
         raise NotNormalized(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
-    w, v = _linalg.eigh_checked(rho.density_matrix(), what="state")
+    w, v = np.linalg.eigh(_linalg.require_hermitian(rho.density_matrix(), what="state"))
     p = np.clip(w, 0.0, None)
     o = v.conj().T @ drho @ v
     sums = p[:, None] + p[None, :]

@@ -154,6 +154,22 @@ def step_size(duration: float, steps: int, dim: int, shift_mode: str = "instanta
     return dt
 
 
+def run_integral(y: np.ndarray, dt: float, s: float, what: str) -> float:
+    """(trapezoid integral of the samples ``y`` at spacing ``dt``) / ``s`` on the
+    mantissas of ``dt`` and ``s``, scaled by their exponents last as every
+    speed-limit time is, so the integral cannot overflow where the quotient
+    does not, and a quotient whose direct form stays normal keeps its bits.
+    :class:`NotFinite` naming ``what`` when the quotient overflows a float."""
+    (m_dt, e_dt), (m_s, e_s) = math.frexp(dt), math.frexp(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        q = float(np.trapezoid(y, dx=m_dt)) / m_s
+    with contextlib.suppress(OverflowError):
+        q = math.ldexp(q, e_dt - e_s)
+        if math.isfinite(q):
+            return q
+    raise NotFinite(f"integral of {what} overflows a float")
+
+
 def require_positive(value: float, name: str):
     """:class:`DomainError` unless ``value`` is a finite number > 0 (not NaN or a bool)."""
     if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
@@ -393,7 +409,7 @@ def _step_states(u: np.ndarray, states: np.ndarray):
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) via eigendecomposition; exactly unitary."""
-    w, v = _linalg.eigh_checked(np.asarray(h, dtype=complex), what="step Hamiltonian")
+    w, v = np.linalg.eigh(_linalg.require_hermitian(np.asarray(h, dtype=complex), what="step Hamiltonian"))
     return _unitaries(w, v, dt, hbar)
 
 

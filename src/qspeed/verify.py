@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError
-from .qdyn import Trajectory
+from .qdyn import Trajectory, run_integral
 
 __all__ = [
     "CheckResult",
@@ -111,8 +111,9 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     Checks needing the overlap with the initial state apply to pure runs
     only; on mixed runs they are skipped and listed in ``skipped``.
     Derivatives are second-order central differences at interior samples;
-    integrated checks use the trapezoid rule on the run grid, and H(t) is
-    read from ``traj.h_samples``.  The trajectory must come from a
+    integrated checks use the trapezoid rule on the run grid over hbar as
+    :func:`~qspeed.qdyn.run_integral` forms it (:class:`NotFinite` where that
+    overflows), and H(t) is read from ``traj.h_samples``.  The trajectory must come from a
     ground-shifted protocol for the mean-energy checks to be meaningful.
     ``tol`` must be a finite number >= 0 and not a bool, else :class:`DomainError`.
     """
@@ -170,20 +171,20 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
 
     end = [traj.tau]
     checks.append(
-        _pointwise("mt_integrated", [float(ell[-1])], [float(np.trapezoid(sqrt_var, dx=dt)) / hbar], end, tol)
+        _pointwise("mt_integrated", [float(ell[-1])], [run_integral(sqrt_var, dt, hbar, "dE / hbar")], end, tol)
     )
     checks.append(
         _pointwise(
             "ml_integrated",
             [abs(math.cos(float(ell[-1])) - 1.0)],
-            [float(np.trapezoid(me, dx=dt)) / hbar],
+            [run_integral(me, dt, hbar, "<H> / hbar")],
             end,
             tol,
         )
     )
 
     if pure:
-        arg = float(np.trapezoid(init_e, dx=dt)) / hbar
+        arg = run_integral(init_e, dt, hbar, "<psi_0|H|psi_0> / hbar")
         checks.append(_pointwise("overlap_cosine", [abs(math.cos(arg))], [float(np.abs(overlap[-1]))], end, tol))
 
     return AuditReport(

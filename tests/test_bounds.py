@@ -27,6 +27,7 @@ from qspeed import (
     time_avg_mean_energy,
 )
 from qspeed.errors import BoundViolation, DomainError, NegativeEnergy, NotFinite
+from qspeed.qdyn import run_integral
 
 
 def skewed_two_level_run(p_ground=0.75, steps=2048):
@@ -73,6 +74,25 @@ class TestTimeAverages:
             assert time_avg_energy_variance(coarse) == pytest.approx(
                 time_avg_energy_variance(fine), rel=1e-4
             )
+
+    def test_run_integral_keeps_the_direct_bits(self, small_corpus):
+        """On the mantissas, an integral / tau or / hbar has the bits of the
+        direct form where that stays normal, and the exact value where the
+        integral itself overflows."""
+        for traj in small_corpus:
+            for y in (traj.mean_energy, np.sqrt(traj.energy_variance)):
+                for s in (traj.tau, traj.hbar):
+                    got = np.float64(run_integral(y, traj.dt, s, "y / s"))
+                    want = np.float64(np.trapezoid(y, dx=traj.dt) / s)
+                    assert got.view(np.uint64) == want.view(np.uint64)
+        # the rescaled saturating run: <H> up to 1e100 for 1.5 pi 1e208 over hbar = 1.5e308
+        y, dt, s = np.linspace(5e99, 1e100, 65), 4.71238898038469e208 / 64, 1.5e308
+        with np.errstate(over="ignore"):
+            assert np.trapezoid(y, dx=dt) == math.inf
+        exact = Fraction(dt) * (sum(map(Fraction, y)) - (Fraction(y[0]) + Fraction(y[-1])) / 2) / Fraction(s)
+        assert run_integral(y, dt, s, "y / s") == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        with pytest.raises(NotFinite, match=r"^integral of y / s overflows a float$"):
+            run_integral(y, dt, 1e-10, "y / s")
 
 
 class TestBoundFormulas:

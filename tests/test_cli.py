@@ -318,15 +318,20 @@ class TestRunCommand:
 
     def test_rescaled_benchmark_keeps_its_slacks(self, tmp_path):
         """E and hbar scaled by 1e150 and 1e308: 4 hbar and hbar L overflow
-        on the way to the bounds, which stay finite and in their order."""
+        on the way to the bounds, which stay finite and in their order.  E and
+        hbar scaled by 1e100 and 1.5e308: the integrals of <H> and dE over the
+        run overflow on the way to their averages over tau and to the audit's
+        integrals over hbar, which stay finite."""
         small = {**BENCH, "steps": 64}
         huge = {**small, "hbar": 1e308, "duration": math.pi * 1e158, "params": {"matrix": [[0, 0], [0, 1e150]]}}
+        long = {**small, "hbar": 1.5e308, "duration": 4.71238898038469e208, "params": {"matrix": [[0, 0], [0, 1e100]]}}
         slacks = []
-        for raw in (small, huge):
+        for raw in (small, huge, long):
             out = tmp_path / "out.json"
             assert main(["run", write_config(tmp_path, raw), "-o", str(out)]) == 0
             slacks.append(json.loads(out.read_text())["qsl"]["slacks"])
         assert slacks[1] == pytest.approx(slacks[0], rel=1e-12, abs=0)
+        assert slacks[2] == pytest.approx(slacks[0], rel=1e-12, abs=0)
 
     def test_stationary_run(self, tmp_path):
         cfg = write_config(tmp_path, {**BENCH, "initial_state": {"amplitudes": [1, 0]}})
@@ -814,6 +819,17 @@ class TestRunCommand:
         done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
         assert done.returncode == 2, done.stderr.decode()
         assert done.stderr.startswith(b"[qspeed] config error: ") and b"Traceback" not in done.stderr
+
+    def test_module_entry_point_overflowing_integral_exit_3(self, tmp_path):
+        """The saturating run over 1e299 at hbar = 1e-10: the audit's
+        integral of dE over hbar, 5e308, overflows a float.  Under -W error it
+        exits 3 naming the integral, with no warning or traceback."""
+        raw = {**BENCH, "steps": 64, "hbar": 1e-10, "duration": 1e299}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-m", "qspeed", "run", write_config(tmp_path, raw)]
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 3, done.stderr.decode()
+        assert done.stderr == b"[qspeed] error: integral of dE / hbar overflows a float\n"
 
     def test_module_entry_point_with_threads_exits(self, tmp_path):
         """A d = 16 mixed run's midpoint stack holds more than 2 MiB, so it
