@@ -24,7 +24,7 @@ violation, raising by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 HALF_PI = math.pi / 2
-
-# the report's scalar keys, in report order; sweeps write the same columns
-REPORT_SCALARS = ("tau", "bures", "e_avg", "de_avg", "tau_mt", "tau_ml_quad", "tau_ml_lin", "tau_qsl")
 
 # Endpoint angles below the fidelity-route noise floor mean no net motion;
 # without this a stationary run with zero energy spread would report a
@@ -180,6 +177,10 @@ class QSLReport:
 
     def to_dict(self) -> dict:
         return {**{name: getattr(self, name) for name in REPORT_SCALARS}, "slacks": self.slacks}
+
+
+# the report's scalar keys, in report order; sweeps write the same columns
+REPORT_SCALARS = tuple(f.name for f in fields(QSLReport))
 
 
 def build_report(

@@ -106,7 +106,7 @@ class ProtocolConfig:
         steps = read("steps", 2048, lambda n: isinstance(n, int) and n >= 16, "must be an integer >= 16")
         gsm = choice("ground_shift_mode", "instantaneous", qdyn.GROUND_SHIFT_MODES)
         try:
-            qdyn.step_size(duration, steps, dim, gsm)
+            qdyn.step_size(duration, steps, dim)
         except DomainError as exc:
             raise BadConfig(f"fields 'duration', 'steps' and 'dim' invalid: {exc}") from exc
         ml_mode = choice("ml_mode", "linear", bounds.ML_MODES)

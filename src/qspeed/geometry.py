@@ -123,6 +123,8 @@ class DistributionTrack:
             raise GridMismatch("grid spacing must be uniform")
         if ts.size == 0:
             raise GridMismatch("parameter_values is empty")
+        if ts.ndim != 1 or not (ts[1:] > ts[:-1]).all():
+            raise GridMismatch("parameter_values must be a strictly increasing 1-D array")
         if dens.shape != (ts.size, grid.size):
             raise GridMismatch(f"densities shape {dens.shape} does not match ({ts.size}, {grid.size})")
         object.__setattr__(self, "grid", grid)

@@ -40,7 +40,6 @@ __all__ = [
 
 NORM_TOL = 1e-6
 GLOBAL_SCAN_SAMPLES = 1025
-_SCAN = f"the global shift's ({GLOBAL_SCAN_SAMPLES}, dim, dim) scan"
 GROUND_SHIFT_MODES = ("instantaneous", "global")
 # a run holds a few (samples, dim, dim) complex arrays; a larger grid is
 # refused before anything is allocated
@@ -133,21 +132,14 @@ def validate_state(s: QuantumState) -> QuantumState:
     return QuantumState(matrix=_linalg.symmetrize(rho))
 
 
-def require_grid_fits(samples: int, dim: int, what: str):
-    """:class:`DomainError` naming ``what`` if a (samples, dim, dim) complex array would pass ``MAX_ARRAY_BYTES``."""
-    if samples * dim * dim * 16 > MAX_ARRAY_BYTES:
-        raise DomainError(f"{what} of complex numbers exceeds {MAX_ARRAY_BYTES >> 30} GiB")
-
-
-def step_size(duration: float, steps: int, dim: int, shift_mode: str = "instantaneous") -> float:
+def step_size(duration: float, steps: int, dim: int) -> float:
     """``duration / steps`` if a run meets every start rule, else :class:`DomainError` before anything
-    is allocated: ``steps`` an integer >= 2 (not a bool), the (steps + 1, dim, dim) grid and the
-    ``global`` shift's scan within ``MAX_ARRAY_BYTES``, and a step of at least the smallest normal float."""
+    is allocated: ``steps`` an integer >= 2 (not a bool), the (steps + 1, dim, dim) grid within
+    ``MAX_ARRAY_BYTES``, and a step of at least the smallest normal float."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    require_grid_fits(int(steps) + 1, dim, "the (steps + 1, dim, dim) grid")
-    if shift_mode == "global":
-        require_grid_fits(GLOBAL_SCAN_SAMPLES, dim, _SCAN)
+    if (int(steps) + 1) * dim * dim * 16 > MAX_ARRAY_BYTES:
+        raise DomainError(f"the (steps + 1, dim, dim) grid of complex numbers exceeds {MAX_ARRAY_BYTES >> 30} GiB")
     dt = duration / int(steps)
     if dt < sys.float_info.min:
         raise DomainError(f"duration {duration!r} / steps {steps} is below the smallest normal float")
@@ -287,20 +279,20 @@ def ground_shift(p: HamiltonianProtocol, mode: str = "instantaneous") -> Hamilto
     ``instantaneous`` (default) subtracts the lowest eigenvalue of H(t) at each
     time, keeping <H_t> >= 0 pointwise.  ``global`` subtracts a single constant,
     the minimum instantaneous ground energy over a uniform scan of
-    ``GLOBAL_SCAN_SAMPLES`` times in [0, duration], which decomposes each run
-    of consecutive bit-equal samples once.  Either way the returned
-    protocol evaluates ``p`` and applies the shift in place to the whole H(t)
-    stack that ``p.matrices`` returns.
-    The scan must fit the cap :func:`step_size` also holds it to, else
-    :class:`DomainError` is raised before H is evaluated.
+    ``GLOBAL_SCAN_SAMPLES`` times in [0, duration], evaluated and decomposed
+    one :func:`_linalg.row_slices` slice at a time, each run of consecutive
+    bit-equal samples once.  Either way the returned protocol evaluates ``p``
+    and shifts in place the whole H(t) stack that ``p.matrices`` returns.
     """
     if mode not in GROUND_SHIFT_MODES:
         raise DomainError(f"unknown ground shift mode {mode!r}")
     offset = None
     if mode == "global":
-        require_grid_fits(GLOBAL_SCAN_SAMPLES, p.dim, _SCAN)
         ts = np.linspace(0.0, p.duration, GLOBAL_SCAN_SAMPLES)
-        offset = float(_linalg.once_per_run(np.linalg.eigvalsh, p.matrices(ts))[:, 0].min())
+        # the scan's shape as a view that allocates nothing, to cut it into slices
+        scan = np.broadcast_to(0j, (GLOBAL_SCAN_SAMPLES, p.dim, p.dim))
+        lows = (_linalg.once_per_run(np.linalg.eigvalsh, p.matrices(ts[s]))[:, 0] for s in _linalg.row_slices(scan))
+        offset = float(np.min([w.min() for w in lows]))
 
     label = f"{p.label}+gshift[{mode}]" if p.label else f"gshift[{mode}]"
     return _GroundShiftedProtocol(None, p.duration, p.hbar, label, p.dim, stack=p.matrices, global_offset=offset)

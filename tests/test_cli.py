@@ -100,17 +100,30 @@ class TestConfigValidation:
         with pytest.raises(BadConfig, match="ground_shift_mode"):
             ProtocolConfig.from_dict({**BENCH, "ground_shift_mode": "sometimes"})
 
-    def test_scan_floor_only_for_the_global_shift(self):
-        """The 1025-sample global scan counts toward the size cap only when it runs."""
-        raw = {**BENCH, "dim": 2048, "steps": 16}
-        assert ProtocolConfig.from_dict(raw).dim == 2048
-        with pytest.raises(BadConfig, match="'steps' and 'dim'"):
-            ProtocolConfig.from_dict({**raw, "ground_shift_mode": "global"})
+    def test_grid_cap_alone_in_either_shift_mode(self):
+        """Only the (steps + 1, dim, dim) grid counts toward the size cap; the
+        global scan, evaluated in row slices, does not."""
+        for mode in ("instantaneous", "global"):
+            raw = {**BENCH, "dim": 2048, "steps": 16, "ground_shift_mode": mode}
+            assert ProtocolConfig.from_dict(raw).ground_shift_mode == mode
 
-    def test_oversized_global_scan_names_the_scan(self):
+    def test_global_scan_at_dim_600_starts_with_one_slice(self):
+        """A scan whose whole stack would pass the cap is accepted, and
+        evaluated one row slice at a time: one time per call at d = 600."""
         raw = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
-        with pytest.raises(BadConfig, match="global shift's \\(1025, dim, dim\\) scan"):
-            ProtocolConfig.from_dict(raw)
+        assert ProtocolConfig.from_dict(raw).ground_shift_mode == "global"
+        calls = []
+
+        class Sentinel(Exception):
+            pass
+
+        def stack(ts):
+            calls.append(len(ts))
+            raise Sentinel
+
+        with pytest.raises(Sentinel):
+            ground_shift(HamiltonianProtocol(None, 1.0, dim=600, stack=stack), "global")
+        assert calls == [max(1, _linalg.SLICE_BYTES // (16 * 600**2))]
 
     @pytest.mark.parametrize(
         "duration, steps, reason",
@@ -728,15 +741,6 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, {**BENCH, "duration": 1e-310, "steps": 64})]) == 2
         err = capsys.readouterr().err
         assert "'duration'" in err and "'steps'" in err and "smallest normal float" in err
-
-    def test_oversized_global_scan_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch):
-        def build(cfg):
-            raise AssertionError("protocol built for a run that cannot start")
-
-        monkeypatch.setattr("qspeed.cli.build_protocol", build)
-        doc = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
-        assert main(["run", write_config(tmp_path, doc)]) == 2
-        assert "scan" in capsys.readouterr().err
 
     def test_sanitize_writes_non_finite_as_strings(self):
         doc = {"a": [math.nan, math.inf, -math.inf, 1.5], "b": {"c": math.nan}}

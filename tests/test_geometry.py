@@ -206,6 +206,18 @@ class TestDistributionTrack:
             DistributionTrack(np.linspace(0.0, 1.0, 3), np.array([]), np.zeros((0, 3)))
 
     @pytest.mark.parametrize(
+        "values, rows",
+        [([[0.0, 0.1], [0.2, 0.3]], 4), (0.0, 1), ([0.1, 0.0, 0.1], 3)],
+        ids=["two_d", "scalar", "not_increasing"],
+    )
+    def test_parameter_values_not_strictly_increasing_1d_is_a_grid_mismatch(self, values, rows):
+        """Values that index_of and the Fisher routines cannot use are refused
+        up front, instead of ending in an IndexError, a numpy ValueError or a NaN."""
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(GridMismatch, match="parameter_values"):
+            DistributionTrack(grid, np.array(values), np.full((rows, 3), 2.0 / 3.0))
+
+    @pytest.mark.parametrize(
         "grid, dens, match",
         [
             (np.linspace(0.0, 1.0, 4).reshape(2, 2), np.ones((1, 4)) / 1.0, "1-D"),

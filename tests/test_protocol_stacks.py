@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
-from qspeed import HamiltonianProtocol, audit_trajectory, build_report, ground_shift, propagate
+from conftest import random_hermitian, random_smooth_protocol
+from qspeed import HamiltonianProtocol, _linalg, audit_trajectory, build_report, ground_shift, propagate, qdyn
 from qspeed.cli import SX, SZ, ProtocolConfig, build_protocol, decode_matrix, initial_state
 
 STEPS = 2048
-SCAN = 1024  # ground_shift's default global scan
 
 
 def encode(m):
@@ -211,8 +210,8 @@ def test_propagate_matches_closure_reference(kind, mode):
 @pytest.mark.parametrize("mode", ["instantaneous", "global"])
 def test_one_stack_call_per_grid(kind, mode):
     """ground shift -> propagate -> report -> audit calls the stack once on
-    the N midpoints and once on the N + 1 samples, after one call on the
-    global scan, and never samples one time at a time."""
+    the N midpoints and once on the N + 1 samples, after one call per row
+    slice of the global scan, and never samples one time at a time."""
     calls = []
     cfg = ProtocolConfig.from_dict({**CONFIGS[kind], "steps": 64, "initial_state": "equal_superposition"})
     p = build_protocol(cfg)
@@ -226,5 +225,35 @@ def test_one_stack_call_per_grid(kind, mode):
     traj = propagate(ground_shift(p, mode), initial_state(cfg, p), cfg.steps)
     build_report(traj, strict=False)
     audit_trajectory(traj)
-    scan = [SCAN + 1] if mode == "global" else []
+    view = np.broadcast_to(0j, (qdyn.GLOBAL_SCAN_SAMPLES, cfg.dim, cfg.dim))
+    scan = [len(view[s]) for s in _linalg.row_slices(view)] if mode == "global" else []
     assert calls == scan + [cfg.steps, cfg.steps + 1]
+
+
+def offset_cases():
+    """Each kind, the oscillator at d = 16, a constant drive and a smooth
+    evaluator protocol at d = 16, whose scans span 17 row slices."""
+    rng = np.random.default_rng(20261021)
+    h = random_hermitian(rng, 16)
+    return {
+        **{kind: build_protocol(ProtocolConfig.from_dict(CONFIGS[kind])) for kind in KINDS},
+        "modulated_oscillator_dim16": both("modulated_oscillator_dim16")[1],
+        "constant_dim16": HamiltonianProtocol(None, 1.3, dim=16, stack=lambda ts: np.repeat(h[None], len(ts), axis=0)),
+        "smooth_dim16": random_smooth_protocol(rng, 16),
+    }
+
+
+OFFSET_CASES = offset_cases()
+
+
+@pytest.mark.parametrize("case", list(OFFSET_CASES))
+def test_global_offset_is_the_whole_scan_minimum(case):
+    """The global shift's scan, evaluated and decomposed in row slices, gives
+    the offset of one eigvalsh over the whole scan, bit for bit."""
+    p = OFFSET_CASES[case]
+    ts = np.linspace(0.0, p.duration, qdyn.GLOBAL_SCAN_SAMPLES)
+    want = float(np.linalg.eigvalsh(p.matrices(ts))[:, 0].min())
+    got = ground_shift(p, "global").global_offset
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if p.dim == 16:
+        assert len(_linalg.row_slices(np.broadcast_to(0j, (qdyn.GLOBAL_SCAN_SAMPLES, 16, 16)))) == 17
