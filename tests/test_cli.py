@@ -107,23 +107,11 @@ class TestConfigValidation:
             raw = {**BENCH, "dim": 2048, "steps": 16, "ground_shift_mode": mode}
             assert ProtocolConfig.from_dict(raw).ground_shift_mode == mode
 
-    def test_global_scan_at_dim_600_starts_with_one_slice(self):
-        """A scan whose whole stack would pass the cap is accepted, and
-        evaluated one row slice at a time: one time per call at d = 600."""
+    def test_global_scan_at_dim_600_is_accepted(self):
+        """A global config whose whole scan stack would pass the cap, but whose
+        (steps + 1, dim, dim) grid fits, is accepted."""
         raw = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
         assert ProtocolConfig.from_dict(raw).ground_shift_mode == "global"
-        calls = []
-
-        class Sentinel(Exception):
-            pass
-
-        def stack(ts):
-            calls.append(len(ts))
-            raise Sentinel
-
-        with pytest.raises(Sentinel):
-            ground_shift(HamiltonianProtocol(None, 1.0, dim=600, stack=stack), "global")
-        assert calls == [max(1, _linalg.SLICE_BYTES // (16 * 600**2))]
 
     @pytest.mark.parametrize(
         "duration, steps, reason",
@@ -741,6 +729,23 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, {**BENCH, "duration": 1e-310, "steps": 64})]) == 2
         err = capsys.readouterr().err
         assert "'duration'" in err and "'steps'" in err and "smallest normal float" in err
+
+    def test_global_scan_at_dim_600_reaches_the_build(self, tmp_path, monkeypatch):
+        """``run`` passes the dim-600 global config on to ``build_protocol``."""
+        built = []
+
+        class Sentinel(Exception):
+            pass
+
+        def build(cfg):
+            built.append((cfg.dim, cfg.ground_shift_mode))
+            raise Sentinel
+
+        monkeypatch.setattr("qspeed.cli.build_protocol", build)
+        doc = {**OSC, "dim": 600, "steps": 16, "ground_shift_mode": "global"}
+        with pytest.raises(Sentinel):
+            main(["run", write_config(tmp_path, doc)])
+        assert built == [(600, "global")]
 
     def test_sanitize_writes_non_finite_as_strings(self):
         doc = {"a": [math.nan, math.inf, -math.inf, 1.5], "b": {"c": math.nan}}

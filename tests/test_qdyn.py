@@ -280,6 +280,22 @@ class TestGroundShift:
         for t in np.linspace(0.0, shifted.duration, 7):
             assert np.array_equal(shifted.matrix(t), shifted.matrices([t])[0])
 
+    def test_global_scan_at_dim_600_starts_with_one_slice(self):
+        """The global scan is evaluated one row slice at a time: one time per
+        call at d = 600, where the whole (1025, d, d) stack would pass 4 GiB."""
+        calls = []
+
+        class Sentinel(Exception):
+            pass
+
+        def stack(ts):
+            calls.append(len(ts))
+            raise Sentinel
+
+        with pytest.raises(Sentinel):
+            ground_shift(HamiltonianProtocol(None, 1.0, dim=600, stack=stack), mode="global")
+        assert calls == [max(1, _linalg.SLICE_BYTES // (16 * 600**2))]
+
 
 class TestPropagate:
     def test_two_level_reaches_orthogonality(self, saturating_run):
