@@ -42,19 +42,15 @@ def once_per_run(f, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     and every result has the bits ``f`` gives on the whole stack, as long as
     ``f`` gives a matrix the same bits in any batch (``eigh``, ``eigvalsh``
     and stacked matmuls do).  Without a repeat, ``f`` gets ``stack`` itself.
-    Rows are compared whole one :func:`row_slices` slice at a time, and only
-    in a slice where the first entry of a row has the bits of the row before
-    it, so a stack whose first entries all differ costs arrays of one entry
-    per row.
+    A caller hands it one :func:`row_slices` slice, whose rows are compared
+    whole only when some row's first entry repeats that of the row before.
     """
     starts = np.ones(len(stack), dtype=bool)
     if len(stack) > 1:
         rows = stack.reshape(len(stack), -1).view(np.uint64)
-        new, row, prev = starts[1:], rows[1:], rows[:-1]
-        np.not_equal(row[:, 0], prev[:, 0], out=new)
-        for s in row_slices(row):
-            if not new[s].all():
-                np.any(row[s] != prev[s], axis=1, out=new[s])
+        np.not_equal(rows[1:, 0], rows[:-1, 0], out=starts[1:])
+        if not starts.all():
+            np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
     if starts.all():
         return f(stack) if out is None else f(stack, out=out)
     # a mode other than "raise" writes into out without a buffer of its size

@@ -100,14 +100,15 @@ def validate_state(s: QuantumState) -> QuantumState:
     below (rejected below -1e-6), and the trace renormalized.  Larger
     deviations raise :class:`NotNormalized` / :class:`NotPositive` /
     :class:`NotHermitian`, and a vector that is not 1-D, a matrix that is
-    not square, or a state with both arrays set :class:`DimensionMismatch`.
+    not square, a state of dim 0, or a state with both arrays set
+    :class:`DimensionMismatch`.
     """
     if s.is_pure and s.matrix is not None:
         raise DimensionMismatch("a state sets amplitudes or matrix, not both")
     if s.is_pure:
         amps = np.asarray(s.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise DimensionMismatch("pure state requires a 1-D amplitude vector")
+        if amps.ndim != 1 or amps.size == 0:
+            raise DimensionMismatch(f"pure state requires a 1-D amplitude vector of dim >= 1, got shape {amps.shape}")
         if not np.isfinite(amps).all():
             raise NotFinite("pure state amplitudes are non-finite")
         # finite amplitudes can still overflow the sum of squares
@@ -120,8 +121,8 @@ def validate_state(s: QuantumState) -> QuantumState:
         return QuantumState(amplitudes=amps / norm)
 
     shape = np.shape(s.matrix)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"density matrix must be square, got shape {shape}")
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise DimensionMismatch(f"density matrix must be square with dim >= 1, got shape {shape}")
     rho = _linalg.symmetrize(_linalg.require_hermitian(s.matrix, NORM_TOL, "density matrix"))
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > NORM_TOL:
@@ -400,8 +401,18 @@ def _step_states(u: np.ndarray, states: np.ndarray):
 
 
 def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) via eigendecomposition; exactly unitary."""
-    w, v = np.linalg.eigh(_linalg.require_hermitian(np.asarray(h, dtype=complex), what="step Hamiltonian"))
+    """exp(-i H dt / hbar) via eigendecomposition, for one H or a stack; exactly unitary.
+
+    :class:`DomainError` unless ``hbar`` is a finite number > 0 and ``dt`` a
+    finite number of either sign; :class:`DimensionMismatch` unless ``h`` is
+    a square matrix of dim >= 1 or a stack of them."""
+    require_positive(hbar, "hbar")
+    if not math.isfinite(dt):
+        raise DomainError(f"dt must be a finite number, got {dt}")
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] == 0:
+        raise DimensionMismatch(f"step Hamiltonian must be a square matrix of dim >= 1 or a stack, got shape {h.shape}")
+    w, v = np.linalg.eigh(_linalg.require_hermitian(h, what="step Hamiltonian"))
     return _unitaries(w, v, dt, hbar)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError
-from .qdyn import Trajectory, run_integral
+from .errors import DomainError, NotFinite
+from .qdyn import Trajectory, require_positive, run_integral
 
 __all__ = [
     "CheckResult",
@@ -90,6 +90,8 @@ class AuditReport:
 
 def _pointwise(name, lhs, rhs, times, tol, extra=None) -> CheckResult:
     lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise NotFinite(f"a side of the {name} check overflows a float or is NaN")
     margins = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     i = int(np.argmin(margins))
     worst = float(margins[i])
@@ -105,6 +107,7 @@ def _pointwise(name, lhs, rhs, times, tol, extra=None) -> CheckResult:
     )
 
 
+@np.errstate(over="ignore")  # a side that overflows is named by _pointwise
 def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     """Run every inequality check on a trajectory.
 
@@ -115,7 +118,9 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     :func:`~qspeed.qdyn.run_integral` forms it (:class:`NotFinite` where that
     overflows), and H(t) is read from ``traj.h_samples``.  The trajectory must come from a
     ground-shifted protocol for the mean-energy checks to be meaningful.
-    ``tol`` must be a finite number >= 0 and not a bool, else :class:`DomainError`.
+    ``tol`` must be a finite number >= 0 and not a bool, and ``traj.hbar`` a
+    finite number > 0, else :class:`DomainError`; a side of a check that is
+    not finite, as dE / hbar is where it overflows, raises :class:`NotFinite`.
     """
     if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:  # false for NaN too; 0 is an exact check
         raise DomainError(f"audit tolerance must be a finite number >= 0, got {tol}")
@@ -123,7 +128,7 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     if n < MIN_SAMPLES:
         raise DomainError(f"audit needs at least {MIN_SAMPLES} samples, got {n}")
     pure = traj.is_pure
-
+    require_positive(traj.hbar, "hbar")
     hbar = traj.hbar
     dt = traj.dt
     times = traj.times

@@ -840,6 +840,25 @@ class TestRunCommand:
         assert done.returncode == 3, done.stderr.decode()
         assert done.stderr == b"[qspeed] error: integral of dE / hbar overflows a float\n"
 
+    def test_module_entry_point_overflowing_pointwise_quotient_exit_3(self, tmp_path):
+        """At hbar = 6e-309 the audit's pointwise dE / hbar overflows a float
+        though its integrals do not.  Under -W error it exits 3 naming the
+        check, with no warning or traceback."""
+        raw = {
+            "kind": "constant",
+            "dim": 2,
+            "hbar": 6e-309,
+            "duration": 4.7104e-305,
+            "steps": 2048,
+            "params": {"matrix": [[0, 0], [0, 10]]},
+            "initial_state": "equal_superposition",
+        }
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-W", "error", "-m", "qspeed", "run", write_config(tmp_path, raw)]
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 3, done.stderr.decode()
+        assert done.stderr == b"[qspeed] error: a side of the velocity_variance check overflows a float or is NaN\n"
+
     def test_module_entry_point_with_threads_exits(self, tmp_path):
         """A d = 16 mixed run's midpoint stack holds more than 2 MiB, so it
         runs work on per-call threads; the interpreter still exits, under

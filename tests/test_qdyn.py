@@ -122,6 +122,16 @@ class TestValidateState:
         with pytest.raises(DimensionMismatch):
             validate_state(QuantumState())
 
+    @pytest.mark.parametrize(
+        "make, shape",
+        [(lambda: QuantumState.mixed(np.zeros((0, 0))), r"\(0, 0\)"), (lambda: QuantumState.pure([]), r"\(0,\)")],
+        ids=["mixed", "pure"],
+    )
+    def test_zero_dimensional_state_rejected(self, make, shape):
+        """Named as a dimension, as a protocol's dim 0 is."""
+        with pytest.raises(DimensionMismatch, match=f"dim >= 1, got shape {shape}$"):
+            make()
+
     def test_both_arrays_set_rejected(self):
         with pytest.raises(DimensionMismatch, match="not both"):
             validate_state(QuantumState(amplitudes=[1, 0], matrix=np.eye(3) / 3))
@@ -209,6 +219,28 @@ class TestEigensystem:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             step_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1, 1.0)
+
+    @pytest.mark.parametrize("hbar", [-1.0, math.inf, 0.0, math.nan, True])
+    def test_hbar_rule_of_the_protocol(self, hbar):
+        """The rule ``HamiltonianProtocol`` runs: a negative hbar would reverse
+        time, an infinite one give the identity, and 0 divide by zero."""
+        with pytest.raises(DomainError, match=r"^hbar must be a finite number > 0, got "):
+            step_unitary(np.eye(2), 0.1, hbar)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (0, 0), (3, 2, 1)])
+    def test_h_must_be_a_square_matrix_or_a_stack(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"square matrix of dim >= 1 or a stack, got shape \("):
+            step_unitary(np.ones(shape), 0.1, 1.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_dt_must_be_finite(self, dt):
+        with pytest.raises(DomainError, match=r"^dt must be a finite number, got "):
+            step_unitary(SZ, dt, 1.0)
+
+    def test_dt_of_either_sign_and_a_stack(self):
+        stack = np.stack([SZ, SX])
+        assert np.array_equal(step_unitary(stack, -0.3, 1.0)[1], step_unitary(SX, -0.3, 1.0))
+        assert np.allclose(step_unitary(SZ, -0.3, 1.0) @ step_unitary(SZ, 0.3, 1.0), np.eye(2))
 
 
 class TestEnergyMoments:
@@ -1315,9 +1347,10 @@ class TestOncePerRun:
         ids=["one_row", "all_equal", "none_equal", "runs_across_slices", "short_runs"],
     )
     @pytest.mark.parametrize("f", [np.linalg.eigvalsh, eigh_unitaries], ids=["eigvalsh", "unitaries"])
-    def test_bytes_of_f_on_the_whole_stack(self, small_slices, runs, f):
-        """Runs of the given lengths, of distinct matrices, at d = 3: 6 rows
-        of a slice are compared at a time, so a run of 17 spans three."""
+    def test_bytes_of_f_on_the_whole_stack(self, runs, f):
+        """Runs of the given lengths, of distinct matrices, at d = 3, all
+        compared in one pass: a run of 17 would span three of a caller's
+        6-row slices at 1,000 bytes a slice."""
         distinct = hermitian_stack(len(runs), 3)
         stack = np.repeat(distinct, runs, axis=0)
         sizes = []
@@ -1336,7 +1369,7 @@ class TestOncePerRun:
     )
     def test_rows_that_differ_in_one_bit_are_runs_of_their_own(self, entry, part, change):
         """The first entry is the one compared before whole rows are, in a
-        slice that also holds a row whose first entry differs."""
+        stack that also holds a row whose first entry differs."""
         g, h = hermitian_stack(2, 3)
         if change == "sign_of_zero":
             getattr(h, part)[entry] = 0.0
@@ -1369,6 +1402,34 @@ class TestOncePerRun:
         _linalg.once_per_run(f, stack, out=stack)
         assert seen[0][0] is stack and seen[0][1] is None
         assert seen[1][0] is stack and seen[1][1] is stack
+
+    @pytest.mark.parametrize("slice_bytes", [_linalg.SLICE_BYTES, 2**12], ids=["256KiB", "4KiB"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_every_caller_hands_over_one_row_slice(self, monkeypatch, pure, mode, dim, pooled, slice_bytes):
+        """The helper compares the rows it gets in one pass, which keeps its
+        temporaries a slice's only because each caller in ``qdyn`` (the
+        instantaneous shift, the global scan and the step unitaries) hands it
+        at most one ``row_slices`` slice."""
+        once, rows = _linalg.once_per_run, []
+
+        def spy(f, stack, out=None):
+            rows.append(len(stack))
+            return once(f, stack, out)
+
+        monkeypatch.setattr(_linalg, "SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(qdyn, "POOL_BYTES", 0 if pooled else 2**62)
+        monkeypatch.setattr(_linalg, "once_per_run", spy)
+        rng = np.random.default_rng(42)
+        s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
+        propagate(ground_shift(random_smooth_protocol(rng, dim), mode), s0, 128)
+        per_slice = max(1, slice_bytes // (16 * dim * dim))
+        assert max(rows) <= per_slice
+        # the unitaries of the 128 midpoints, and the shift of the midpoints
+        # and the 129 samples, or the global scan
+        assert sum(rows) == 128 + (128 + 129 if mode == "instantaneous" else qdyn.GLOBAL_SCAN_SAMPLES)
 
     @pytest.mark.parametrize("mode", ["instantaneous", "global"])
     @pytest.mark.parametrize("drive", ["constant", "smooth"])

@@ -5,9 +5,11 @@ NaN, and emit no warning; the bound times and the speed-limit time must
 also not be negative.
 """
 
+import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -20,6 +22,7 @@ from qspeed import (  # noqa: E402
     ground_shift,
     propagate,
     qsl_time,
+    step_unitary,
     tau_ml_linear,
     tau_ml_quadratic,
     tau_mt,
@@ -35,6 +38,7 @@ floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 
 PROTOCOL = ground_shift(two_level_protocol())
 RUN = propagate(PROTOCOL, equal_superposition(), 16)
+SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def outcome(call):
@@ -73,6 +77,26 @@ def test_trig_bound_is_a_number(x):
 def test_audit_tolerance(tol):
     report = outcome(lambda: audit_trajectory(RUN, tol=tol))
     assert report is None or not any(math.isnan(x) for x in (report.tolerance, *(c.worst_margin for c in report.checks)))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(hbar=floats)
+def test_audit_hbar(hbar):
+    """The hbar rule of the bound formulas, and no NaN margin past it."""
+    report = outcome(lambda: audit_trajectory(dataclasses.replace(RUN, hbar=hbar)))
+    assert report is None or not any(math.isnan(c.worst_margin) for c in report.checks)
+    if outcome(lambda: tau_mt(0.5, 1.0, hbar)) is None:
+        assert report is None
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(dt=floats, hbar=floats)
+def test_step_unitary(dt, hbar):
+    """A finite matrix or an error, and the hbar rule of the bound formulas."""
+    u = outcome(lambda: step_unitary(SZ, dt, hbar))
+    assert u is None or np.isfinite(u).all()
+    if outcome(lambda: tau_mt(0.5, 1.0, hbar)) is None:
+        assert u is None
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)

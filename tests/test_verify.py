@@ -1,5 +1,6 @@
 """Trajectory audits: the inequality chain, trig bound, and variance bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import (
     bures_rate,
+    equal_superposition,
     random_hermitian,
     random_mixed_state,
     random_pure_state,
@@ -18,11 +20,12 @@ from qspeed import (
     HamiltonianProtocol,
     QuantumState,
     audit_trajectory,
+    build_report,
     check_trig_bound,
     ground_shift,
     propagate,
 )
-from qspeed.errors import DomainError
+from qspeed.errors import DomainError, NotFinite
 
 RIGOROUS_CHECKS = ("velocity_variance", "overlap_derivative", "sin_velocity", "mt_integrated")
 # not theorems under driving; 4 and 6 hold for a constant Hamiltonian >= 0,
@@ -178,6 +181,28 @@ class TestAuditTrajectory:
     def test_tolerance_must_be_finite_nonnegative(self, saturating_run, tol):
         with pytest.raises(DomainError, match="tolerance"):
             audit_trajectory(saturating_run, tol)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    def test_hbar_rule_of_build_report(self, hbar):
+        """The hbar that ``build_report`` refuses, with its message, before a
+        quotient over hbar is formed."""
+        traj = propagate(ground_shift(two_level_protocol()), equal_superposition(), 64)
+        probe = dataclasses.replace(traj, hbar=hbar)
+        for call in (lambda: audit_trajectory(probe), lambda: build_report(probe, strict=False)):
+            with pytest.raises(DomainError, match=r"^hbar must be a finite number > 0, got "):
+                call()
+
+    @pytest.mark.parametrize("check", ["velocity_variance", "sin_velocity"])
+    def test_overflowing_pointwise_quotient_is_named(self, check):
+        """At a subnormal hbar, dE / hbar and |<psi_0|H|psi_t>| / hbar
+        overflow at every sample while the integrals stay finite: the check
+        is named, with no numpy warning, and no margin reads NaN."""
+        p = HamiltonianProtocol(lambda t: np.diag([0.0, 10.0]), 4.7104e-305, 6e-309)
+        traj = propagate(ground_shift(p), equal_superposition(), 2048)
+        if check == "sin_velocity":
+            traj = dataclasses.replace(traj, energy_variance=np.zeros_like(traj.energy_variance))
+        with pytest.raises(NotFinite, match=f"^a side of the {check} check overflows a float or is NaN$"):
+            audit_trajectory(traj)
 
     def test_zero_tolerance_is_an_exact_check(self, saturating_run):
         report = audit_trajectory(saturating_run, 0.0)
