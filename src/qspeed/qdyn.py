@@ -65,7 +65,7 @@ class QuantumState:
 
     @staticmethod
     def pure(amplitudes) -> "QuantumState":
-        return validate_state(QuantumState(amplitudes=np.asarray(amplitudes, dtype=complex).reshape(-1)))
+        return validate_state(QuantumState(amplitudes=np.asarray(amplitudes, dtype=complex)))
 
     @staticmethod
     def mixed(matrix) -> "QuantumState":
@@ -404,10 +404,10 @@ def step_unitary(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) via eigendecomposition, for one H or a stack; exactly unitary.
 
     :class:`DomainError` unless ``hbar`` is a finite number > 0 and ``dt`` a
-    finite number of either sign; :class:`DimensionMismatch` unless ``h`` is
-    a square matrix of dim >= 1 or a stack of them."""
+    finite number of either sign and not a bool; :class:`DimensionMismatch`
+    unless ``h`` is a square matrix of dim >= 1 or a stack of them."""
     require_positive(hbar, "hbar")
-    if not math.isfinite(dt):
+    if isinstance(dt, (bool, np.bool_)) or not math.isfinite(dt):
         raise DomainError(f"dt must be a finite number, got {dt}")
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] == 0:

@@ -132,6 +132,16 @@ class TestValidateState:
         with pytest.raises(DimensionMismatch, match=f"dim >= 1, got shape {shape}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "amplitudes, shape",
+        [(np.eye(2) / math.sqrt(2), r"\(2, 2\)"), ([[1.0], [0.0]], r"\(2, 1\)"), (1.0, r"\(\)")],
+        ids=["matrix", "column", "scalar"],
+    )
+    def test_pure_takes_the_vector_as_it_is(self, amplitudes, shape):
+        """Not flattened into a state of another dimension first."""
+        with pytest.raises(DimensionMismatch, match=f"got shape {shape}$"):
+            QuantumState.pure(amplitudes)
+
     def test_both_arrays_set_rejected(self):
         with pytest.raises(DimensionMismatch, match="not both"):
             validate_state(QuantumState(amplitudes=[1, 0], matrix=np.eye(3) / 3))
@@ -232,8 +242,8 @@ class TestEigensystem:
         with pytest.raises(DimensionMismatch, match=r"square matrix of dim >= 1 or a stack, got shape \("):
             step_unitary(np.ones(shape), 0.1, 1.0)
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
-    def test_dt_must_be_finite(self, dt):
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, True, np.True_])
+    def test_dt_must_be_a_finite_number(self, dt):
         with pytest.raises(DomainError, match=r"^dt must be a finite number, got "):
             step_unitary(SZ, dt, 1.0)
 
