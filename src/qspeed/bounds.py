@@ -68,8 +68,8 @@ def time_avg_mean_energy(traj: Trajectory) -> float:
 
 
 def time_avg_energy_variance(traj: Trajectory) -> float:
-    """(1/tau) integral of sqrt(<H_t^2> - <H_t>^2) dt, formed as :func:`time_avg_mean_energy`'s."""
-    return run_integral(np.sqrt(traj.energy_variance), traj.dt, traj.tau, "dE / tau")
+    """(1/tau) integral of the energy spread ``traj.energy_spread`` dt, formed as :func:`time_avg_mean_energy`'s."""
+    return run_integral(traj.energy_spread, traj.dt, traj.tau, "dE / tau")
 
 
 def _speed_limit(ell: float, rate: float, hbar: float, what: str, formula) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DimensionMismatch, DomainError, GridMismatch, NotFinite, NotNormalized
-from .qdyn import QuantumState
+from .qdyn import QuantumState, validate_state
 
 __all__ = [
     "DistributionTrack",
@@ -38,7 +38,9 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     Computed through Hermitian eigendecompositions with eigenvalues clamped
     at zero from below; the result is clipped into [0, 1].  For two pure
     states this equals the squared overlap |<psi_a|psi_b>|^2 to within 1e-10.
+    Both states pass :func:`~qspeed.qdyn.validate_state` first.
     """
+    a, b = validate_state(a), validate_state(b)
     if a.dim != b.dim:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
     sqrt_a = _linalg.psd_sqrt(a.density_matrix(), "first state")
@@ -185,8 +187,10 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     where terms with p_j + p_k <= 1e-12 are skipped rather than
     regularized: for rank-deficient states under unitary motion those terms
     have vanishing numerators, and skipping them reproduces the pure-state
-    limit exactly.  ``drho`` must be Hermitian and traceless within 1e-9.
+    limit exactly.  ``drho`` must be Hermitian and traceless within 1e-9,
+    and ``rho`` passes :func:`~qspeed.qdyn.validate_state`.
     """
+    rho = validate_state(rho)
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != (rho.dim, rho.dim):
         raise DimensionMismatch(f"drho shape {drho.shape} does not match dim {rho.dim}")
@@ -198,7 +202,7 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     if not abs(tr) <= 1e-9 * scale:
         raise NotNormalized(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
-    w, v = np.linalg.eigh(_linalg.require_hermitian(rho.density_matrix(), what="state"))
+    w, v = np.linalg.eigh(rho.density_matrix())
     p = np.clip(w, 0.0, None)
     o = v.conj().T @ drho @ v
     sums = p[:, None] + p[None, :]

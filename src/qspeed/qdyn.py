@@ -423,18 +423,18 @@ class Trajectory:
     ``times`` holds N+1 uniform samples on [0, tau].  ``states`` is the
     (N+1, d) array of state vectors of a pure run or the (N+1, d, d) array of
     density matrices of a mixed run; ``h_samples`` is the (N+1, d, d) stack of
-    H(t) at ``times`` that every observable was computed from.
-    ``overlap_with_initial`` is filled only for pure runs;
-    ``bures_from_initial`` is the Bures angle L(rho_0, rho_t) at every sample
-    (for pure runs computed from the overlap magnitude, which is the
-    numerically sharper equivalent route).
+    H(t) at ``times`` that every observable was computed from, among them
+    ``energy_spread``, dE_t = sqrt(<H_t^2> - <H_t>^2).  ``overlap_with_initial``
+    is filled only for pure runs; ``bures_from_initial`` is the Bures angle
+    L(rho_0, rho_t) at every sample (for pure runs computed from the overlap
+    magnitude, which is the numerically sharper equivalent route).
     """
 
     times: np.ndarray
     states: np.ndarray
     h_samples: np.ndarray
     mean_energy: np.ndarray
-    energy_variance: np.ndarray
+    energy_spread: np.ndarray
     bures_from_initial: np.ndarray
     hbar: float
     protocol: HamiltonianProtocol
@@ -495,9 +495,10 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     smaller array builds no pool, however many slices it spans, and its
     slices become unitaries once the samples are evaluated.  The bits are
     the same either way.
-    Per-sample observables (<H_t>, variance, Bures angle from the start, and
-    for pure runs the complex overlap with the initial state) are computed
-    from the H(t) stack at the samples, which the trajectory keeps.  Errors
+    Per-sample observables (<H_t>, the spread dE_t, Bures angle from the
+    start, and for pure runs the complex overlap with the initial state) are
+    computed from the H(t) stack at the samples, which the trajectory keeps,
+    dE_t on H scaled by a power of two, so it is a float where dE_t is.  Errors
     come in the order of evaluating every midpoint slice, then building the
     unitaries, then evaluating the samples: an error of midpoint slice k (an
     evaluator exception, a shape, :class:`NotFinite` or :class:`NotHermitian`
@@ -506,7 +507,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     failure, or a step phase that overflows, whose message names the largest
     |E| of its slice, the earliest slice's if several fail) only once every
     midpoint slice is evaluated, but before an error of the samples.  A
-    non-finite H(t), variance or purity raises :class:`NotFinite`; a run that
+    non-finite H(t), energy spread or purity raises :class:`NotFinite`; a run that
     :func:`step_size` refuses raises its :class:`DomainError` before H(t) is
     evaluated.
     """
@@ -546,13 +547,18 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         _linalg.once_per_run(unitaries, h, out=h)
 
     h_samp = _beside(to_unitaries, map(midpoint_slice, _linalg.row_slices(u)), lambda: p.matrices(times), pooled)
+    h_samp = np.ascontiguousarray(h_samp)  # an override's layout; the moments view H as floats
     states[0] = s0.amplitudes if pure else s0.matrix
     _step_states(u, states)
     del u
 
+    # <H^2> on H scaled by 2^-k, k the exponent of max |H|, which is exact and
+    # cannot overflow; dE is scaled back by 2^k, so normal moments keep their bits
+    k = max(math.frexp(float(np.abs(h_samp[s].view(float)).max()))[1] for s in _linalg.row_slices(h_samp))
+
     if pure:
         me = np.einsum("ti,tij,tj->t", states.conj(), h_samp, states).real
-        hpsi = np.einsum("tij,tj->ti", h_samp, states)
+        hpsi = np.ldexp(np.einsum("tij,tj->ti", h_samp, states).view(float), -k).view(complex)
         m2 = np.einsum("ti,ti->t", hpsi.conj(), hpsi).real
         overlap = np.einsum("i,ti->t", states[0].conj(), states)
         # arctan2 of the orthogonal-component norm against |overlap| is the
@@ -566,7 +572,8 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
         def moments(s):
             me[s] = np.einsum("tij,tji->t", states[s], h_samp[s]).real
-            m2[s] = np.einsum("tij,tjk,tki->t", states[s], h_samp[s], h_samp[s]).real
+            h = np.ldexp(h_samp[s].view(float), -k).view(complex)
+            m2[s] = np.einsum("tij,tjk,tki->t", states[s], h, h).real
 
         def bures_angles():
             sqrt0 = _linalg.psd_sqrt(states[0], "initial state")
@@ -576,15 +583,16 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         bures = _beside(moments, _linalg.row_slices(states), bures_angles, pooled)
     bures[0] = 0.0
 
-    # both checks are written to fail on NaN as well; an overflow is named below
+    # the variance in units of 4^k, refused below -1e-9 max(1, <H^2>) in units of H^2;
+    # a NaN or an overflow is named below
     with np.errstate(over="ignore", invalid="ignore"):
-        var = m2 - me**2
-    lowest = float(var.min())
-    if not lowest >= -1e-9 * max(1.0, float(np.abs(m2).max())):
-        if not math.isfinite(lowest):
-            raise NotFinite("energy variance is non-finite along the trajectory: <H^2> overflows a float")
-        raise NotPositive(f"energy variance dipped to {lowest:.3e} along the trajectory")
-    var = np.clip(var, 0.0, None)
+        var = m2 - np.ldexp(me, -k) ** 2
+        spread = np.ldexp(np.sqrt(np.clip(var, 0.0, None)), k)
+        lowest = float(var.min())
+        if math.isfinite(lowest) and not lowest >= -1e-9 * max(np.ldexp(1.0, -2 * k), float(np.abs(m2).max())):
+            raise NotPositive(f"energy variance dipped to {np.ldexp(lowest, 2 * k):.3e} along the trajectory")
+    if not math.isfinite(lowest) or not np.isfinite(spread).all():
+        raise NotFinite("the energy spread overflows a float along the trajectory")
 
     # tr(rho^2), which is |psi|^4 for a state vector; an overflow is named below
     with np.errstate(over="ignore"):
@@ -600,7 +608,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         states=states,
         h_samples=h_samp,
         mean_energy=me,
-        energy_variance=var,
+        energy_spread=spread,
         bures_from_initial=bures,
         hbar=p.hbar,
         protocol=p,

@@ -136,7 +136,7 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
     ell = traj.bures_from_initial
     dl = (ell[2:] - ell[:-2]) / (2.0 * dt)
     abs_dl = np.abs(dl)
-    sqrt_var = np.sqrt(traj.energy_variance)
+    spread = traj.energy_spread
     me = traj.mean_energy
 
     checks: list[CheckResult] = []
@@ -146,7 +146,7 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
         _pointwise(
             "velocity_variance",
             abs_dl,
-            sqrt_var[1:-1] / hbar,
+            spread[1:-1] / hbar,
             interior,
             tol,
             extra={"velocity_sign_changes": sign_changes},
@@ -176,7 +176,7 @@ def audit_trajectory(traj: Trajectory, tol: float = 1e-6) -> AuditReport:
 
     end = [traj.tau]
     checks.append(
-        _pointwise("mt_integrated", [float(ell[-1])], [run_integral(sqrt_var, dt, hbar, "dE / hbar")], end, tol)
+        _pointwise("mt_integrated", [float(ell[-1])], [run_integral(spread, dt, hbar, "dE / hbar")], end, tol)
     )
     checks.append(
         _pointwise(

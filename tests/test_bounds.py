@@ -80,7 +80,7 @@ class TestTimeAverages:
         direct form where that stays normal, and the exact value where the
         integral itself overflows."""
         for traj in small_corpus:
-            for y in (traj.mean_energy, np.sqrt(traj.energy_variance)):
+            for y in (traj.mean_energy, traj.energy_spread):
                 for s in (traj.tau, traj.hbar):
                     got = np.float64(run_integral(y, traj.dt, s, "y / s"))
                     want = np.float64(np.trapezoid(y, dx=traj.dt) / s)

@@ -859,6 +859,27 @@ class TestRunCommand:
         assert done.returncode == 3, done.stderr.decode()
         assert done.stderr == b"[qspeed] error: a side of the velocity_variance check overflows a float or is NaN\n"
 
+    @pytest.mark.parametrize("verb", ["run", "audit"])
+    def test_module_entry_point_saturating_run_below_1e154(self, tmp_path, verb):
+        """The saturating run rescaled to H = diag(0, 1e-300) and hbar = 1e-300:
+        its variance, 2.5e-601, is below the float range, but dE = 5e-301 is
+        not.  Under -W error it exits 0, every audit check passes, and its
+        slacks are its hbar = 1 twin's within 1e-12."""
+        docs = []
+        for scale in (1e-300, 1.0):
+            raw = {**BENCH, "hbar": scale, "params": {"matrix": [[0, 0], [0, scale]]}}
+            out = tmp_path / f"{verb}-{scale}.json"
+            cmd = [sys.executable, "-W", "error", "-m", "qspeed", verb, write_config(tmp_path, raw), "-o", str(out)]
+            done = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            docs.append(json.loads(out.read_text()))
+        rescaled, twin = docs
+        assert twin["qsl"]["slacks"]["mt"] == 1.0000000000000224
+        assert rescaled["qsl"]["de_avg"] == pytest.approx(5e-301, rel=1e-12)
+        for name, slack in twin["qsl"]["slacks"].items():
+            assert rescaled["qsl"]["slacks"][name] == pytest.approx(slack, rel=0, abs=1e-12), name
+        assert all(c["passed"] for doc in docs for c in doc["audit"]["checks"])
+
     def test_module_entry_point_with_threads_exits(self, tmp_path):
         """A d = 16 mixed run's midpoint stack holds more than 2 MiB, so it
         runs work on per-call threads; the interpreter still exits, under

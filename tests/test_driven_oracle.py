@@ -220,11 +220,11 @@ def test_circularly_driven_spin_matches_the_rotating_frame(dim, w0, big, v, tau,
     assert np.all(np.abs(traj.bures_from_initial - ell) <= math.pi / 2 * drift + floor)
     me, m2 = moments(states, h)
     var = np.clip(m2 - me**2, 0.0, None)
-    error = np.abs(np.sqrt(traj.energy_variance) - np.sqrt(var))
+    error = np.abs(traj.energy_spread - np.sqrt(var))
     assert np.all(error <= 2 * j * width * drift + 1e-12 * j * width)  # |H| = j sqrt(w0^2 + W^2)
 
     overlap = states @ s0.amplitudes.conj() if pure else None
-    truth = Trajectory(ts, states, h, me, var, ell, hbar, protocol, overlap)
+    truth = Trajectory(ts, states, h, me, np.sqrt(var), ell, hbar, protocol, overlap)
     run, oracle = audit_trajectory(traj), audit_trajectory(truth)
     for check in run.checks:
         if check.name in RIGOROUS_CHECKS:

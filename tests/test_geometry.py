@@ -35,6 +35,7 @@ from qspeed.errors import (
     NotFinite,
     NotHermitian,
     NotNormalized,
+    NotPositive,
 )
 
 
@@ -102,6 +103,23 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fidelity(QuantumState.pure([1.0, 0.0]), QuantumState.pure([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("measure", [fidelity, bures_length])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (QuantumState(amplitudes=np.array([2.0, 0.0])), "pure state norm 2.00000000 deviates"),
+            (QuantumState(matrix=np.diag([1.8, 0.0])), "density matrix trace 1.80000000 deviates"),
+        ],
+        ids=["norm_2", "trace_1.8"],
+    )
+    def test_states_built_directly_are_validated(self, measure, bad, message):
+        """A state built without :meth:`QuantumState.pure` or ``.mixed`` is
+        refused on either side, as ``propagate`` refuses it."""
+        good = QuantumState.pure([1.0, 0.0])
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(NotNormalized, match=message):
+                measure(a, b)
 
 
 class TestBuresLength:
@@ -356,6 +374,11 @@ class TestBuresIncrement:
         with pytest.raises(DimensionMismatch, match=r"drho shape \(3, 3\)"):
             bures_increment(QuantumState.mixed(np.eye(2) / 2), np.zeros((3, 3)))
 
+    def test_rejects_a_state_that_is_not_positive(self):
+        rho = QuantumState(matrix=np.diag([2.0, -1.0]))
+        with pytest.raises(NotPositive, match="^density matrix has eigenvalue -1.000e\\+00 below -1.0e-06$"):
+            bures_increment(rho, np.array([[0.0, 0.1], [0.1, 0.0]]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_perturbation(self, bad):
         with pytest.raises(NotFinite, match="non-finite"):
@@ -389,7 +412,7 @@ class TestDynamicalVelocity:
         rng = np.random.default_rng(10)
         for _ in range(4):
             traj = run_random(rng, 2, pure=bool(rng.integers(0, 2)), steps=2048)
-            spread = np.sqrt(traj.energy_variance)
+            spread = traj.energy_spread
             rate = bures_rate(traj)
             for i in range(1, traj.n_samples - 1):
                 assert abs(rate[i - 1]) <= spread[i] / traj.hbar + 1e-6

@@ -202,7 +202,7 @@ def test_propagate_matches_closure_reference(kind, mode):
     s0 = initial_state(cfg, p)
     got = propagate(ground_shift(p, mode), s0, cfg.steps)
     want = propagate(ground_shift(ref, mode), s0, cfg.steps)
-    for field in ("states", "h_samples", "mean_energy", "energy_variance", "bures_from_initial"):
+    for field in ("states", "h_samples", "mean_energy", "energy_spread", "bures_from_initial"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 

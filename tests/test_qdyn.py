@@ -269,19 +269,40 @@ class TestEnergyMoments:
 
     def test_variance_eigenstate_zero(self):
         s = QuantumState.pure([0.0, 1.0])
-        assert constant_run(np.diag([0.0, 3.0]), s).energy_variance[0] == 0.0
+        assert constant_run(np.diag([0.0, 3.0]), s).energy_spread[0] == 0.0
 
     def test_variance_superposition(self):
         traj = constant_run(np.diag([0.0, 2.0]), equal_superposition())
-        assert traj.energy_variance == pytest.approx(1.0)
+        assert traj.energy_spread**2 == pytest.approx(1.0)
 
     def test_variance_maximally_mixed(self):
         s = QuantumState.mixed(np.eye(2) / 2)
-        assert constant_run(np.diag([0.0, 2.0]), s).energy_variance == pytest.approx(1.0)
+        assert constant_run(np.diag([0.0, 2.0]), s).energy_spread ** 2 == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             constant_run(np.eye(3), equal_superposition())
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_spread_has_the_bits_of_the_unscaled_variance(self, pure, dim, mode):
+        """<H_t> and dE_t, whose moments are taken on the scale of max |H|,
+        have the bits of sqrt(clip(<H^2> - <H>^2)) formed on H itself from
+        the run's states and samples."""
+        rng = np.random.default_rng(60 + dim)
+        s0 = random_pure_state(rng, dim) if pure else random_mixed_state(rng, dim)
+        traj = propagate(ground_shift(random_smooth_protocol(rng, dim), mode), s0, 2048)
+        states, h = traj.states, traj.h_samples
+        if pure:
+            me = np.einsum("ti,tij,tj->t", states.conj(), h, states).real
+            hpsi = np.einsum("tij,tj->ti", h, states)
+            m2 = np.einsum("ti,ti->t", hpsi.conj(), hpsi).real
+        else:
+            me = np.einsum("tij,tji->t", states, h).real
+            m2 = np.einsum("tij,tjk,tki->t", states, h, h).real
+        assert traj.mean_energy.tobytes() == me.tobytes()
+        assert traj.energy_spread.tobytes() == np.sqrt(np.clip(m2 - me**2, 0, None)).tobytes()
 
 
 class TestGroundShift:
@@ -389,10 +410,23 @@ class TestPropagate:
     @pytest.mark.parametrize(
         "s0", [QuantumState.pure([1.0, 0.0]), QuantumState.mixed(np.diag([0.7, 0.3]))], ids=["pure", "mixed"]
     )
-    def test_overflowing_energy_square_raises_not_finite(self, s0):
-        # <H^2> ~ 1e400 overflows; the RuntimeWarning is an error in this suite
+    def test_overflowing_energy_square_gives_a_finite_spread(self, s0):
+        """<H^2> ~ 1e400 passes the float range, but the moments are taken on
+        the scale of max |H|, and dE = 1e200 is a finite float; a
+        RuntimeWarning is an error in this suite."""
         p = HamiltonianProtocol(lambda t: 1e200 * SX, 1.0)
-        with pytest.raises(NotFinite, match="<H\\^2> overflows a float"):
+        assert propagate(p, s0, 64).energy_spread == pytest.approx(1e200, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s0",
+        [QuantumState.pure([1.0, 0.0, 0.0, 0.0]), QuantumState.mixed(np.diag([0.7, 0.3, 0.0, 0.0]))],
+        ids=["pure", "mixed"],
+    )
+    def test_overflowing_energy_spread_raises_not_finite(self, s0):
+        """Every entry 1.7e308 at t = 0 only: <H_0> = 1.7e308 is finite, but
+        dE_0 = sqrt(3) 1.7e308 is not, and it is named without a warning."""
+        p = HamiltonianProtocol(lambda t: np.full((4, 4), 1.7e308 if t == 0.0 else 1.0), 1.0)
+        with pytest.raises(NotFinite, match="^the energy spread overflows a float along the trajectory$"):
             propagate(p, s0, 64)
 
     @pytest.mark.parametrize(
@@ -687,6 +721,23 @@ class TestPropagate:
         h = (p if mode is None else ground_shift(p, mode)).matrices([])
         assert h.shape == (0, 2, 2) and h.dtype == complex
 
+    @pytest.mark.parametrize("mode", ["instantaneous", "global"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_a_matrices_override_may_return_fortran_order(self, pure, mode):
+        """An override of ``matrices`` that returns Fortran order gives the
+        bytes of the protocol it overrides, whose stacks are C-ordered."""
+
+        class Fortran(HamiltonianProtocol):
+            def matrices(self, ts):
+                return np.asfortranarray(super().matrices(ts))
+
+        rng = np.random.default_rng(38)
+        base = random_smooth_protocol(rng, 4)
+        s0 = random_pure_state(rng, 4) if pure else random_mixed_state(rng, 4)
+        runs = [propagate(ground_shift(q, mode), s0, 256) for q in (base, Fortran(base.evaluator, base.duration))]
+        for name in ("states", "h_samples", "mean_energy", "energy_spread", "bures_from_initial"):
+            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
     @pytest.mark.parametrize(
         "layout",
@@ -703,7 +754,7 @@ class TestPropagate:
             propagate(ground_shift(HamiltonianProtocol(None, base.duration, stack=lambda ts, f=f: f(base.matrices(ts)))), s0, 256)
             for f in (np.ascontiguousarray, layout)
         ]
-        for name in ("states", "h_samples", "mean_energy", "energy_variance", "bures_from_initial"):
+        for name in ("states", "h_samples", "mean_energy", "energy_spread", "bures_from_initial"):
             assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
 
     def test_matrices_is_not_the_array_a_stack_keeps(self):
@@ -811,7 +862,7 @@ class TestPropagate:
 
     def test_variance_nonnegative_and_bures_in_range(self, small_corpus):
         for traj in small_corpus:
-            assert traj.energy_variance.min() >= 0.0
+            assert traj.energy_spread.min() >= 0.0
             assert traj.bures_from_initial.min() >= 0.0
             assert traj.bures_from_initial.max() <= math.pi / 2 + 1e-9
 
@@ -953,7 +1004,7 @@ class TestMidpointWorker:
                 assert len(_linalg.row_slices(np.empty((64, 3, 3), dtype=complex))) == 64
                 traj, started = threads_started(monkeypatch, lambda: propagate(p, s0, 64))
             assert started == pooled * threads
-            for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+            for name in ("states", "mean_energy", "energy_spread", "bures_from_initial"):
                 assert getattr(traj, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_threads_end_with_the_call(self, midpoint_slicing):
@@ -1215,7 +1266,7 @@ class TestMidpointWorker:
         whole = propagate(p, s0, 64)
         monkeypatch.setattr(_linalg, "SLICE_BYTES", rows * dim * dim * 16)
         sliced = propagate(p, s0, 64)
-        for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+        for name in ("states", "mean_energy", "energy_spread", "bures_from_initial"):
             assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
@@ -1277,7 +1328,7 @@ class TestSlicedPasses:
         monkeypatch.setattr(_linalg, "SLICE_BYTES", 2**23)
         monkeypatch.setattr(qdyn, "POOL_BYTES", 2**22)
         whole = propagate(p, s0, 1024)
-        for name in ("states", "mean_energy", "energy_variance", "bures_from_initial"):
+        for name in ("states", "mean_energy", "energy_spread", "bures_from_initial"):
             assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes(), name
 
     def test_mixed_states_have_the_bits_of_a_whole_adjoint_stack(self, small_slices):

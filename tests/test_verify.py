@@ -200,7 +200,7 @@ class TestAuditTrajectory:
         p = HamiltonianProtocol(lambda t: np.diag([0.0, 10.0]), 4.7104e-305, 6e-309)
         traj = propagate(ground_shift(p), equal_superposition(), 2048)
         if check == "sin_velocity":
-            traj = dataclasses.replace(traj, energy_variance=np.zeros_like(traj.energy_variance))
+            traj = dataclasses.replace(traj, energy_spread=np.zeros_like(traj.energy_spread))
         with pytest.raises(NotFinite, match=f"^a side of the {check} check overflows a float or is NaN$"):
             audit_trajectory(traj)
 
@@ -227,7 +227,7 @@ class TestAuditTrajectory:
 def variance_margin(traj):
     """Worst <dH_t^2>/hbar^2 - (d_t L)^2 over the interior samples: the
     squared form of the audit's velocity_variance check."""
-    return float(np.min(traj.energy_variance[1:-1] / traj.hbar**2 - bures_rate(traj) ** 2))
+    return float(np.min(traj.energy_spread[1:-1] ** 2 / traj.hbar**2 - bures_rate(traj) ** 2))
 
 
 class TestFisherVarianceBound:
@@ -240,7 +240,7 @@ class TestFisherVarianceBound:
         p = random_smooth_protocol(rng, 3, duration=1.5)
         traj = propagate(ground_shift(p), QuantumState.mixed(np.eye(3) / 3), 512)
         margin = variance_margin(traj)
-        assert margin == pytest.approx(float(traj.energy_variance[1:-1].min()), rel=1e-4)
+        assert margin == pytest.approx(float((traj.energy_spread[1:-1] ** 2).min()), rel=1e-4)
         assert margin > 0.0
 
     def test_random_mixed_runs_nonnegative(self, small_corpus):
