@@ -38,9 +38,11 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     Computed through Hermitian eigendecompositions with eigenvalues clamped
     at zero from below; the result is clipped into [0, 1].  For two pure
     states this equals the squared overlap |<psi_a|psi_b>|^2 to within 1e-10.
-    Both states pass :func:`~qspeed.qdyn.validate_state` first.
+    Both states must pass :func:`~qspeed.qdyn.validate_state`, and the first
+    must be Hermitian within 1e-10; F is computed on the states as given.
     """
-    a, b = validate_state(a), validate_state(b)
+    for s in (a, b):
+        validate_state(s)
     if a.dim != b.dim:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
     sqrt_a = _linalg.psd_sqrt(a.density_matrix(), "first state")
@@ -188,9 +190,10 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     regularized: for rank-deficient states under unitary motion those terms
     have vanishing numerators, and skipping them reproduces the pure-state
     limit exactly.  ``drho`` must be Hermitian and traceless within 1e-9,
-    and ``rho`` passes :func:`~qspeed.qdyn.validate_state`.
+    and ``rho`` must pass :func:`~qspeed.qdyn.validate_state` and be
+    Hermitian within 1e-10; dL^2 is computed on ``rho`` as given.
     """
-    rho = validate_state(rho)
+    validate_state(rho)
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != (rho.dim, rho.dim):
         raise DimensionMismatch(f"drho shape {drho.shape} does not match dim {rho.dim}")
@@ -202,7 +205,7 @@ def bures_increment(rho: QuantumState, drho: np.ndarray) -> float:
     if not abs(tr) <= 1e-9 * scale:
         raise NotNormalized(f"drho has trace {tr:.3e} (must vanish within 1e-9)")
 
-    w, v = np.linalg.eigh(rho.density_matrix())
+    w, v = np.linalg.eigh(_linalg.require_hermitian(rho.density_matrix(), what="state"))
     p = np.clip(w, 0.0, None)
     o = v.conj().T @ drho @ v
     sums = p[:, None] + p[None, :]

@@ -498,7 +498,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
     Per-sample observables (<H_t>, the spread dE_t, Bures angle from the
     start, and for pure runs the complex overlap with the initial state) are
     computed from the H(t) stack at the samples, which the trajectory keeps,
-    dE_t on H scaled by a power of two, so it is a float where dE_t is.  Errors
+    dE_t on each H_t scaled by a power of two, so it is a float where dE_t is.  Errors
     come in the order of evaluating every midpoint slice, then building the
     unitaries, then evaluating the samples: an error of midpoint slice k (an
     evaluator exception, a shape, :class:`NotFinite` or :class:`NotHermitian`
@@ -547,18 +547,22 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         _linalg.once_per_run(unitaries, h, out=h)
 
     h_samp = _beside(to_unitaries, map(midpoint_slice, _linalg.row_slices(u)), lambda: p.matrices(times), pooled)
-    h_samp = np.ascontiguousarray(h_samp)  # an override's layout; the moments view H as floats
     states[0] = s0.amplitudes if pure else s0.matrix
     _step_states(u, states)
     del u
 
-    # <H^2> on H scaled by 2^-k, k the exponent of max |H|, which is exact and
-    # cannot overflow; dE is scaled back by 2^k, so normal moments keep their bits
-    k = max(math.frexp(float(np.abs(h_samp[s].view(float)).max()))[1] for s in _linalg.row_slices(h_samp))
+    # <H_t^2> on H_t scaled by 2^-k_t, k_t the exponent of max |H_t| (at least
+    # the smallest normal's), which is exact and cannot overflow; dE_t is scaled
+    # back by 2^k_t, so every sample whose moments stay normal keeps its bits
+    top = np.empty(n + 1)
+    for s in _linalg.row_slices(h_samp):
+        top[s] = np.maximum(np.abs(h_samp[s].real).max(axis=(1, 2)), np.abs(h_samp[s].imag).max(axis=(1, 2)))
+    k = np.frexp(np.maximum(top, np.finfo(float).tiny))[1]
+    scale = np.ldexp(1.0, -k)
 
     if pure:
         me = np.einsum("ti,tij,tj->t", states.conj(), h_samp, states).real
-        hpsi = np.ldexp(np.einsum("tij,tj->ti", h_samp, states).view(float), -k).view(complex)
+        hpsi = np.einsum("tij,tj->ti", h_samp, states) * scale[:, None]
         m2 = np.einsum("ti,ti->t", hpsi.conj(), hpsi).real
         overlap = np.einsum("i,ti->t", states[0].conj(), states)
         # arctan2 of the orthogonal-component norm against |overlap| is the
@@ -572,7 +576,7 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
 
         def moments(s):
             me[s] = np.einsum("tij,tji->t", states[s], h_samp[s]).real
-            h = np.ldexp(h_samp[s].view(float), -k).view(complex)
+            h = h_samp[s] * scale[s, None, None]
             m2[s] = np.einsum("tij,tjk,tki->t", states[s], h, h).real
 
         def bures_angles():
@@ -583,16 +587,16 @@ def propagate(p: HamiltonianProtocol, s0: QuantumState, steps: int) -> Trajector
         bures = _beside(moments, _linalg.row_slices(states), bures_angles, pooled)
     bures[0] = 0.0
 
-    # the variance in units of 4^k, refused below -1e-9 max(1, <H^2>) in units of H^2;
-    # a NaN or an overflow is named below
+    # var_t in units of 4^k_t, refused below -1e-9 max(1, <H_t^2>) in units of H^2
     with np.errstate(over="ignore", invalid="ignore"):
         var = m2 - np.ldexp(me, -k) ** 2
         spread = np.ldexp(np.sqrt(np.clip(var, 0.0, None)), k)
-        lowest = float(var.min())
-        if math.isfinite(lowest) and not lowest >= -1e-9 * max(np.ldexp(1.0, -2 * k), float(np.abs(m2).max())):
-            raise NotPositive(f"energy variance dipped to {np.ldexp(lowest, 2 * k):.3e} along the trajectory")
-    if not math.isfinite(lowest) or not np.isfinite(spread).all():
-        raise NotFinite("the energy spread overflows a float along the trajectory")
+        dipped = var < -1e-9 * np.maximum(np.ldexp(1.0, -2 * k), m2)
+        if not (np.isfinite(var).all() and np.isfinite(spread).all()):
+            raise NotFinite("the energy spread overflows a float along the trajectory")
+        if dipped.any():
+            lowest = np.ldexp(var, 2 * k)[dipped].min()
+            raise NotPositive(f"energy variance dipped to {lowest:.3e} along the trajectory")
 
     # tr(rho^2), which is |psi|^4 for a state vector; an overflow is named below
     with np.errstate(over="ignore"):

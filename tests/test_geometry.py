@@ -28,6 +28,7 @@ from qspeed import (
     step_unitary,
     wootters_angle,
 )
+from qspeed import _linalg
 from qspeed.errors import (
     DimensionMismatch,
     DomainError,
@@ -120,6 +121,24 @@ class TestFidelity:
         for a, b in ((bad, good), (good, bad)):
             with pytest.raises(NotNormalized, match=message):
                 measure(a, b)
+
+    def test_first_state_is_hermitian_within_1e_10(self):
+        """``validate_state`` accepts a deviation of 1e-8; the first state's
+        square root refuses it."""
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        rho[0, 1] = 1e-8
+        with pytest.raises(NotHermitian, match="^first state deviates from Hermiticity by 1.000e-08"):
+            fidelity(QuantumState(matrix=rho), QuantumState.pure([1.0, 0.0]))
+
+    def test_valid_states_are_used_as_given(self):
+        """The states are checked, not replaced by ``validate_state``'s
+        re-composed matrices, so F has the bits of the formula on the
+        matrices as given."""
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 5):
+            a, b = random_mixed_state(rng, dim), random_mixed_state(rng, dim)
+            expected = _linalg.fidelity_from_sqrt(_linalg.psd_sqrt(a.matrix), b.matrix)
+            assert np.float64(fidelity(a, b)).tobytes() == expected.tobytes()
 
 
 class TestBuresLength:
@@ -378,6 +397,27 @@ class TestBuresIncrement:
         rho = QuantumState(matrix=np.diag([2.0, -1.0]))
         with pytest.raises(NotPositive, match="^density matrix has eigenvalue -1.000e\\+00 below -1.0e-06$"):
             bures_increment(rho, np.array([[0.0, 0.1], [0.1, 0.0]]))
+
+    def test_rejects_a_state_off_hermitian_by_1e_8(self):
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        rho[0, 1] = 1e-8
+        with pytest.raises(NotHermitian, match="^state deviates from Hermiticity by 1.000e-08"):
+            bures_increment(QuantumState(matrix=rho), np.array([[0.0, 0.1], [0.1, 0.0]]))
+
+    def test_valid_state_is_used_as_given(self):
+        """dL^2 has the bits of the formula on ``rho.matrix`` itself, not on
+        ``validate_state``'s re-composed matrix."""
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 5):
+            rho = random_mixed_state(rng, dim)
+            drho = random_hermitian(rng, dim)
+            drho -= np.trace(drho) / dim * np.eye(dim)
+            w, v = np.linalg.eigh(rho.matrix)
+            p = np.clip(w, 0.0, None)
+            o = v.conj().T @ drho @ v
+            sums = p[:, None] + p[None, :]
+            mask = sums > 1e-12
+            assert bures_increment(rho, drho) == 0.5 * float(np.sum(np.abs(o[mask]) ** 2 / sums[mask]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_perturbation(self, bad):

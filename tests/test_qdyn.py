@@ -418,6 +418,21 @@ class TestPropagate:
         assert propagate(p, s0, 64).energy_spread == pytest.approx(1e200, rel=1e-12)
 
     @pytest.mark.parametrize(
+        "s0", [QuantumState.pure([1.0, 0.0]), QuantumState.mixed(np.diag([0.7, 0.3]))], ids=["pure", "mixed"]
+    )
+    @pytest.mark.parametrize(
+        "size",
+        [lambda t: 10.0 ** (150 - 250 * t), lambda t: 1e150 if t == 0.0 else 1e-100],
+        ids=["ramp_1e150_to_1e-100", "spike_1e150_then_1e-100"],
+    )
+    def test_spread_is_kept_across_250_decades(self, size, s0):
+        """H_t = size(t) sigma_x, so dE_t = |size(t)|.  Each sample takes the
+        scale of its own max |H_t|: on one scale for the whole run, set by
+        1e150, every sample below about 1e-4 had a spread of 0."""
+        traj = propagate(HamiltonianProtocol(lambda t: size(t) * SX, 1.0), s0, 64)
+        np.testing.assert_allclose(traj.energy_spread, np.abs(traj.h_samples[:, 0, 1]), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
         "s0",
         [QuantumState.pure([1.0, 0.0, 0.0, 0.0]), QuantumState.mixed(np.diag([0.7, 0.3, 0.0, 0.0]))],
         ids=["pure", "mixed"],
@@ -725,7 +740,9 @@ class TestPropagate:
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
     def test_a_matrices_override_may_return_fortran_order(self, pure, mode):
         """An override of ``matrices`` that returns Fortran order gives the
-        bytes of the protocol it overrides, whose stacks are C-ordered."""
+        states and samples of the protocol it overrides, whose stacks are
+        C-ordered, and its moments and angles within 1e-12: einsum sums in
+        an order that follows the layout."""
 
         class Fortran(HamiltonianProtocol):
             def matrices(self, ts):
@@ -735,8 +752,10 @@ class TestPropagate:
         base = random_smooth_protocol(rng, 4)
         s0 = random_pure_state(rng, 4) if pure else random_mixed_state(rng, 4)
         runs = [propagate(ground_shift(q, mode), s0, 256) for q in (base, Fortran(base.evaluator, base.duration))]
-        for name in ("states", "h_samples", "mean_energy", "energy_spread", "bures_from_initial"):
+        for name in ("states", "h_samples"):
             assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+        for name in ("mean_energy", "energy_spread", "bures_from_initial"):
+            np.testing.assert_allclose(getattr(runs[1], name), getattr(runs[0], name), rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
     @pytest.mark.parametrize(
